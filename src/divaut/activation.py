@@ -23,10 +23,15 @@ activation over a field falls back to a bounded horizon scan unless the
 caller insists on exactness, in which case it refuses.  The one exception
 is a singleton alphabet (constant word), where a window's sum depends only
 on its length and the recurrence argument applies unchanged.
+
+Every method decides a batch at once: it makes one pass per start row and
+reports, for each row, the set of end columns it activates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .automaton import (
     Automaton,
@@ -84,7 +89,7 @@ class ActivationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# Boolean projection
 #
 # Boolean matrices are packed into integer bitmasks (one int per row) so the
 # finite-monoid searches stay cheap on the large automata the translations
@@ -116,12 +121,9 @@ def _bit_mat_mul(a_bits, b_bits):
     return tuple(_bit_vec_mat(row, b_bits) for row in a_bits)
 
 
-def _bit_mat_vec(mat_bits, col_bits: int) -> int:
-    out = 0
-    for i, row in enumerate(mat_bits):
-        if row & col_bits:
-            out |= 1 << i
-    return out
+def _bit_union(mats):
+    """Entrywise OR of bit-packed matrices of one size."""
+    return tuple(reduce(or_, row) for row in zip(*mats))
 
 
 def _monoid_powers(mat_bits):
@@ -140,120 +142,17 @@ def _monoid_powers(mat_bits):
             raise RuntimeError("boolean matrix monoid exceeded the iteration cap")
 
 
-def _exact_method_onesided(aut):
-    sr = aut.semiring
-    if sr is BOOLEAN:
-        return "ExactBooleanMonoid"
-    if not sr.has_cancellation:
-        return "ExactNaturalReduction"
-    if sr.is_field:
-        return "ExactFieldLRS"
-    raise UnsupportedExactDecision(
-        f"no exact activation decision for semiring {sr.name}")
+def _monoid_reach(aut, word):
+    """Exact decision over Boolean/Natural, on the Boolean projection.
 
-
-def _onesided_monoid(aut, word, row, col) -> bool:
-    """Exact decision over Boolean/Natural: is row . M(w[0..n]) . col non-zero
-    for infinitely many n?  Works on the Boolean projection."""
-    sr = aut.semiring
-    brow = _bits_of_vector(sr, row)
-    bcol = _bits_of_vector(sr, col)
-    bmats = {s: _bits_of_rows(aut.sparse_rows(s)) for s in aut.alphabet}
-
-    prefix = brow
-    for symbol in word.prefix:
-        prefix = _bit_vec_mat(prefix, bmats[symbol])
-    cycle = _bit_identity(aut.num_states)
-    partial_cols = []
-    for symbol in word.cycle:
-        partial_cols.append(_bit_mat_vec(cycle, bcol))
-        cycle = _bit_mat_mul(cycle, bmats[symbol])
-    # partial_cols[r] covers the first r cycle symbols; r = 0 is the bare col
-    powers, start, period = _monoid_powers(cycle)
-    for k in range(start, start + period):
-        head = _bit_vec_mat(prefix, powers[k])
-        for partial in partial_cols:
-            if head & partial:
-                return True
-    return False
-
-
-def _onesided_lrs(aut, word, row, col) -> bool:
-    """Exact decision over a field.
-
-    For each residue of the cycle length, the prefix sums form a linear
-    recurrence of order at most d = |Q|, and such a sequence is eventually
-    zero iff its entries at indices [d, 2d) all vanish.  Across residues
-    those indices tile the positions [|u| + d|v|, |u| + 2d|v|), so one pass
-    over the raw value sequence decides every residue at once.
+    Returns the bit matrix T for which row . T holds every state that row
+    reaches with non-zero weight on arbitrarily long windows.  One-sided
+    prefixes factor as u . C^k . v[:r]; two-sided enclosing windows factor
+    as suffix(l) . L^a . M(m) . R^b . prefix(r), with both exponents large.
+    Past the preperiod the powers of a cycle matrix repeat, so each factor
+    ranges over finitely many matrices, and since the Boolean product
+    distributes over OR, T is the product of each factor's entrywise OR.
     """
-    sr = aut.semiring
-    d = aut.num_states
-    if d == 0:
-        return False
-    start = len(word.prefix) + d * len(word.cycle)
-    stop = len(word.prefix) + 2 * d * len(word.cycle)
-    current = row
-    for n in range(stop):
-        if n >= start and not sr.is_zero(dot(sr, current, col)):
-            return True
-        current = advance_row(aut, current, word.char_at(n))
-    return False
-
-
-def _onesided_horizon(aut, word, row, col, bound: int) -> bool:
-    """Approximate decision: non-zero value for some n in (bound/2, bound]."""
-    sr = aut.semiring
-    current = row
-    for n in range(bound + 1):
-        if n > bound // 2 and not sr.is_zero(dot(sr, current, col)):
-            return True
-        current = advance_row(aut, current, word.char_at(n))
-    return False
-
-
-def _decide_onesided(aut, word, row, col, policy) -> tuple:
-    if policy.kind == "horizon":
-        return _onesided_horizon(aut, word, row, col, policy.horizon), \
-            f"BoundedHorizon({policy.horizon})"
-    method = _exact_method_onesided(aut)
-    if method == "ExactFieldLRS":
-        return _onesided_lrs(aut, word, row, col), method
-    return _onesided_monoid(aut, word, row, col), method
-
-
-def _unit_row(aut, state):
-    sr = aut.semiring
-    return tuple(sr.one if s == state else sr.zero for s in range(aut.num_states))
-
-
-def activates_diverging(aut: Automaton, word: UPInfiniteWord, i: int, f: int,
-                        policy: ActivationPolicy = AUTO) -> bool:
-    require_same_alphabet(aut.alphabet, word.alphabet)
-    got, _ = _decide_onesided(aut, word, _unit_row(aut, i), _unit_row(aut, f), policy)
-    return got
-
-
-# ---------------------------------------------------------------------------
-# two-sided (biinfinite) decisions
-
-def _canonical_layout(word: BiInfiniteWord):
-    """(left cycle, center, right cycle) ignoring the origin; activation is
-    shift-invariant so the layout alone matters."""
-    return word.left, word.center, word.right
-
-
-def _twosided_monoid(aut, word, row, col) -> bool:
-    """Exact two-sided decision on the Boolean projection.
-
-    Enclosing windows factor as  suffix(l) . L^a . M(m) . R^b . prefix(r);
-    both exponents must be simultaneously large, and past the preperiods the
-    power matrices repeat, so scanning one period on each side decides it.
-    """
-    sr = aut.semiring
-    left, center, right = _canonical_layout(word)
-    brow = _bits_of_vector(sr, row)
-    bcol = _bits_of_vector(sr, col)
     bmats = {s: _bits_of_rows(aut.sparse_rows(s)) for s in aut.alphabet}
     n = aut.num_states
 
@@ -263,203 +162,255 @@ def _twosided_monoid(aut, word, row, col) -> bool:
             out = _bit_mat_mul(out, bmats[s])
         return out
 
-    left_mat = product(left)
-    mid_mat = product(center)
-    right_mat = product(right)
-    left_suffixes = [product(left[len(left) - s:]) for s in range(len(left))]
-    right_prefixes = [product(right[:t]) for t in range(len(right))]
+    def powers_past_preperiod(cycle):
+        powers, start, period = _monoid_powers(product(cycle))
+        return _bit_union(powers[start:start + period])
 
-    lpowers, lstart, lperiod = _monoid_powers(left_mat)
-    rpowers, rstart, rperiod = _monoid_powers(right_mat)
-
-    for a in range(lstart, lstart + lperiod):
-        for suffix in left_suffixes:
-            head = _bit_vec_mat(_bit_vec_mat(brow, suffix), lpowers[a])
-            head = _bit_vec_mat(head, mid_mat)
-            for b in range(rstart, rstart + rperiod):
-                body = _bit_vec_mat(head, rpowers[b])
-                for prefix in right_prefixes:
-                    if _bit_vec_mat(body, prefix) & bcol:
-                        return True
-    return False
+    if isinstance(word, BiInfiniteWord):
+        left, right = word.left, word.right
+        factors = [_bit_union(product(left[len(left) - s:]) for s in range(len(left))),
+                   powers_past_preperiod(left),
+                   product(word.center),
+                   powers_past_preperiod(right),
+                   _bit_union(product(right[:t]) for t in range(len(right)))]
+    else:
+        cycle = word.cycle
+        factors = [product(word.prefix),
+                   powers_past_preperiod(cycle),
+                   _bit_union(product(cycle[:r]) for r in range(len(cycle)))]
+    return reduce(_bit_mat_mul, factors)
 
 
-def _twosided_horizon(aut, word, row, col, bound: int) -> bool:
+# ---------------------------------------------------------------------------
+# fields and bounded horizons
+
+def _walk(aut, word, row, cols, lo: int, hi: int) -> set:
+    """Indices c with row . M(w[0..n]) . cols[c] non-zero for some n in
+    [lo, hi): one advance_row walk, reading every column at each position.
+
+    Over a field the window [|u| + d|v|, |u| + 2d|v|) is exact: it is the
+    recurrence indices [d, 2d) of every residue of the cycle length.
+    """
+    sr = aut.semiring
+    pending = {c: [(j, w) for j, w in enumerate(col) if not sr.is_zero(w)]
+               for c, col in enumerate(cols)}
+    live = set()
+    current = row
+    for n in range(hi):
+        if n >= lo:
+            for c, col in list(pending.items()):
+                if not sr.is_zero(sr.sum(sr.mul(current[j], w) for j, w in col)):
+                    live.add(c)
+                    del pending[c]
+            if not pending:
+                break
+        if n + 1 < hi:
+            current = advance_row(aut, current, word.char_at(n))
+    return live
+
+
+def _twosided_horizon(aut, word, rows, cols, bound: int) -> list:
     """Approximate two-sided decision: the window reaching ``bound/2`` on each
     side of the center must admit an enclosing non-zero sum within ``bound``.
 
     Larger windows only need enclosures of their own, so checking the widest
-    reachable base window covers every smaller one.
+    reachable base window covers every smaller one.  The dense products are
+    built once for the word and applied to every row and column.
     """
     sr = aut.semiring
-    left, center, right = _canonical_layout(word)
     half = max(1, bound // 2)
-    lo0, hi0 = -half, len(center) + half
-    lo_min, hi_max = -bound, len(center) + bound
+    width = len(word.center)
 
-    def char(i):
-        if i < 0:
-            return left[i % len(left)]
-        if i < len(center):
-            return center[i]
-        return right[(i - len(center)) % len(right)]
+    def char(i):  # activation is shift-invariant: index from the center
+        return word.char_at(word.origin + i)
 
-    mid = identity_matrix(sr, aut.num_states)
-    for i in range(lo0, hi0):
-        mid = mat_mul(sr, mid, aut.matrix(char(i)))
-
-    heads = []  # row . M(w[i..lo0]) . mid for i = lo0 down to lo_min
-    mat = mid
-    heads.append(vec_mat(sr, row, mat))
-    for i in range(lo0 - 1, lo_min - 1, -1):
-        mat = mat_mul(sr, aut.matrix(char(i)), mat)
-        heads.append(vec_mat(sr, row, mat))
-    tails = [col]  # M(w[hi0..j]) . col for j = hi0 up to hi_max
     mat = identity_matrix(sr, aut.num_states)
-    for j in range(hi0, hi_max):
+    for i in range(-half, width + half):
+        mat = mat_mul(sr, mat, aut.matrix(char(i)))
+    heads = [[vec_mat(sr, row, mat)] for row in rows]  # row . M(w[i..]) . mid
+    for i in range(-half - 1, -bound - 1, -1):
+        mat = mat_mul(sr, aut.matrix(char(i)), mat)
+        for head, row in zip(heads, rows):
+            head.append(vec_mat(sr, row, mat))
+    tails = [[col] for col in cols]  # M(w[..j]) . col
+    mat = identity_matrix(sr, aut.num_states)
+    for j in range(width + half, width + bound):
         mat = mat_mul(sr, mat, aut.matrix(char(j)))
-        tails.append(mat_vec(sr, mat, col))
-
-    for head in heads:
-        for tail in tails:
-            if not sr.is_zero(dot(sr, head, tail)):
-                return True
-    return False
+        for tail, col in zip(tails, cols):
+            tail.append(mat_vec(sr, mat, col))
+    return [{c for c, tail in enumerate(tails)
+             if any(not sr.is_zero(dot(sr, h, t)) for h in head for t in tail)}
+            for head in heads]
 
 
 def default_twosided_bound(aut: Automaton, word: BiInfiniteWord) -> int:
     return 4 * max(aut.num_states ** 2, len(word.left) * len(word.right), 1)
 
 
-def _decide_twosided(aut, word, row, col, policy) -> tuple:
+# ---------------------------------------------------------------------------
+# decisions
+
+def _decide(aut, word, policy, rows, cols) -> tuple:
+    """(method, live): ``live[r]`` is the set of indices c such that the
+    pair (rows[r], cols[c]) is activated by ``word``.
+
+    The method is resolved once for the semiring, the word shape and the
+    policy; it refuses only when some pair must be decided.
+    """
     sr = aut.semiring
+    two_sided = isinstance(word, BiInfiniteWord)
+    bound = policy.horizon
     if policy.kind == "horizon":
-        return _twosided_horizon(aut, word, row, col, policy.horizon), \
-            f"BoundedHorizon({policy.horizon})"
-    if sr is BOOLEAN:
-        return _twosided_monoid(aut, word, row, col), "ExactBooleanMonoid"
-    if not sr.has_cancellation:
-        return _twosided_monoid(aut, word, row, col), "ExactNaturalReduction"
-    if sr.is_field and len(aut.alphabet.symbols) == 1:
-        # constant word: a window's sum depends on its length alone, so the
-        # two-sided condition collapses to the one-sided tail question
-        symbol = aut.alphabet.symbols[0]
-        ray = UPInfiniteWord(aut.alphabet, (), (symbol,))
-        return _onesided_lrs(aut, ray, row, col), "ExactFieldLRS"
-    if policy.kind == "exact":
+        method = f"BoundedHorizon({bound})"
+    elif sr is BOOLEAN:
+        method = "ExactBooleanMonoid"
+    elif not sr.has_cancellation:
+        method = "ExactNaturalReduction"
+    elif sr.is_field and not (two_sided and len(aut.alphabet.symbols) > 1):
+        method = "ExactFieldLRS"
+    elif two_sided and policy.kind == "auto":
+        bound = default_twosided_bound(aut, word)
+        method = f"BoundedHorizon({bound})"
+    else:
+        method = "NoExactMethod"
+    if not rows or not cols:
+        return method, [set() for _ in rows]
+
+    if method == "NoExactMethod":
+        if two_sided:
+            raise UnsupportedExactDecision(
+                f"no exact two-sided activation decision for semiring {sr.name}; "
+                "use --activation horizon:<K>")
         raise UnsupportedExactDecision(
-            f"no exact two-sided activation decision for semiring {sr.name}; "
-            "use --activation horizon:<K>")
-    bound = default_twosided_bound(aut, word)
-    return _twosided_horizon(aut, word, row, col, bound), f"BoundedHorizon({bound})"
+            f"no exact activation decision for semiring {sr.name}")
+    if method in ("ExactBooleanMonoid", "ExactNaturalReduction"):
+        reach = _monoid_reach(aut, word)
+        col_bits = [_bits_of_vector(sr, col) for col in cols]
+        heads = [_bit_vec_mat(_bits_of_vector(sr, row), reach) for row in rows]
+        return method, [{c for c, bits in enumerate(col_bits) if head & bits}
+                        for head in heads]
+    if method == "ExactFieldLRS":
+        if two_sided:
+            # constant word: a window's sum depends on its length alone, so
+            # the two-sided condition collapses to the one-sided tail question
+            word = UPInfiniteWord(aut.alphabet, (), aut.alphabet.symbols)
+        lo = len(word.prefix) + aut.num_states * len(word.cycle)
+        hi = lo + aut.num_states * len(word.cycle)
+    elif two_sided:
+        return method, _twosided_horizon(aut, word, rows, cols, bound)
+    else:
+        lo, hi = bound // 2 + 1, bound + 1
+    return method, [_walk(aut, word, row, cols, lo, hi) for row in rows]
 
 
-def activates_bidiverging(aut: Automaton, word: BiInfiniteWord, i: int, f: int,
-                          policy: ActivationPolicy = AUTO) -> bool:
-    require_same_alphabet(aut.alphabet, word.alphabet)
-    got, _ = _decide_twosided(aut, word, _unit_row(aut, i), _unit_row(aut, f), policy)
-    return got
+def _unit_row(aut, state):
+    sr = aut.semiring
+    return tuple(sr.one if s == state else sr.zero for s in range(aut.num_states))
 
 
 def activation_verdicts(aut: Automaton, word, policy: ActivationPolicy = AUTO,
                         pairs=None) -> ActivationVerdict:
     """Decide every requested (initial, final) pair; defaults to the pairs
-    with non-zero initial and final weight, the only ones behavior can see."""
+    with non-zero initial and final weight, the only ones behavior can see.
+    One decision pass runs per distinct initial state."""
     require_same_alphabet(aut.alphabet, word.alphabet)
     if pairs is None:
         pairs = [(i, f) for i in aut.initial_states() for f in aut.final_states()]
-    verdicts = {}
-    method = "Exact"
-    for i, f in pairs:
-        row, col = _unit_row(aut, i), _unit_row(aut, f)
-        if isinstance(word, BiInfiniteWord):
-            got, method = _decide_twosided(aut, word, row, col, policy)
-        else:
-            got, method = _decide_onesided(aut, word, row, col, policy)
-        verdicts[(i, f)] = got
-    return ActivationVerdict(verdicts, method)
+    pairs = list(pairs)
+    starts = list(dict.fromkeys(i for i, _ in pairs))
+    ends = list(dict.fromkeys(f for _, f in pairs))
+    method, live = _decide(aut, word, policy, [_unit_row(aut, i) for i in starts],
+                           [_unit_row(aut, f) for f in ends])
+    found = {(starts[r], ends[c]) for r, cols in enumerate(live) for c in cols}
+    return ActivationVerdict({pair: pair in found for pair in pairs}, method)
+
+
+def activates_diverging(aut: Automaton, word: UPInfiniteWord, i: int, f: int,
+                        policy: ActivationPolicy = AUTO) -> bool:
+    return activation_verdicts(aut, word, policy, [(i, f)]).pairs[(i, f)]
+
+
+def activates_bidiverging(aut: Automaton, word: BiInfiniteWord, i: int, f: int,
+                          policy: ActivationPolicy = AUTO) -> bool:
+    return activation_verdicts(aut, word, policy, [(i, f)]).pairs[(i, f)]
 
 
 # ---------------------------------------------------------------------------
 # masked behavior evaluation
 
-class DivergingBehavior:
-    """Evaluation context for one (automaton, infinite word) pair.
+class _MaskedBehavior:
+    """Masked evaluation shared by the one- and two-sided contexts.
 
-    Activation verdicts are decided once and reused for every n.  Values are
-    read off one row vector per live initial state, grown incrementally, so
-    no full matrix product is ever formed.
+    Activation verdicts are decided once and reused for every window.
+    Initial states with the same live finals share one row, started from
+    their weighted sum; per window start, the current rows and the values
+    computed so far are cached, so no full matrix product is ever formed.
     """
 
-    def __init__(self, aut: Automaton, word: UPInfiniteWord,
-                 policy: ActivationPolicy = AUTO):
-        require_same_alphabet(aut.alphabet, word.alphabet)
+    def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
         self.automaton = aut
         self.word = word
         self.policy = policy
         self._verdict = activation_verdicts(aut, word, policy)
-        self._live = [pair for pair, ok in self._verdict.pairs.items() if ok]
-        self._rows = {}
+        sr = aut.semiring
+        live_finals = {}
+        for (i, f), live in self._verdict.pairs.items():
+            if live:
+                live_finals.setdefault(i, []).append(f)
+        groups = {}  # live finals -> weighted sum of their initial states
+        for i, ends in live_finals.items():
+            groups.setdefault(tuple(ends), [sr.zero] * aut.num_states)[i] = aut.initial[i]
+        self._starts = [tuple(row) for row in groups.values()]
+        self._ends = [[(f, aut.final[f]) for f in ends] for ends in groups]
+        self._windows = {}  # window start -> (current rows, values so far)
 
     @property
     def verdict(self) -> ActivationVerdict:
         return self._verdict
 
-    def _row(self, state: int, n: int):
-        chain = self._rows.setdefault(state, [_unit_row(self.automaton, state)])
-        while len(chain) <= n:
-            k = len(chain) - 1
-            chain.append(advance_row(self.automaton, chain[-1],
-                                     self.word.char_at(k)))
-        return chain[n]
+    def _value(self, start: int, n: int):
+        if n < 0:
+            raise IndexError("window length must be a natural number")
+        aut = self.automaton
+        sr = aut.semiring
+        rows, values = self._windows.setdefault(start, (list(self._starts), []))
+        while len(values) <= n:
+            if values:
+                symbol = self.word.char_at(start + len(values) - 1)
+                rows[:] = [advance_row(aut, row, symbol) for row in rows]
+            values.append(sr.sum(sr.mul(row[f], w)
+                                 for row, ends in zip(rows, self._ends)
+                                 for f, w in ends))
+        return values[n]
+
+
+class DivergingBehavior(_MaskedBehavior):
+    """Evaluation context for one (automaton, infinite word) pair.
+
+    Each class defines its own ``__init__`` and ``at`` (perfbench/spans.py
+    wraps them per class).
+    """
+
+    def __init__(self, aut: Automaton, word: UPInfiniteWord,
+                 policy: ActivationPolicy = AUTO):
+        super().__init__(aut, word, policy)
 
     def at(self, n: int):
-        sr = self.automaton.semiring
-        total = sr.zero
-        for i, f in self._live:
-            total = sr.add(total, sr.mul(sr.mul(self.automaton.initial[i],
-                                                self._row(i, n)[f]),
-                                         self.automaton.final[f]))
-        return total
+        return self._value(0, n)
 
     def sequence(self) -> WeightSequence:
         return WeightSequence(self.automaton.semiring, self.at)
 
 
-class BidivergingBehavior:
+class BidivergingBehavior(_MaskedBehavior):
     """Evaluation context for one (automaton, biinfinite word) pair."""
 
     def __init__(self, aut: Automaton, word: BiInfiniteWord,
                  policy: ActivationPolicy = AUTO):
-        require_same_alphabet(aut.alphabet, word.alphabet)
-        self.automaton = aut
-        self.word = word
-        self.policy = policy
-        self._verdict = activation_verdicts(aut, word, policy)
-        self._live = [pair for pair, ok in self._verdict.pairs.items() if ok]
-        self._rows = {}
-
-    @property
-    def verdict(self) -> ActivationVerdict:
-        return self._verdict
-
-    def _row(self, state: int, i: int, n: int):
-        chain = self._rows.setdefault((state, i),
-                                      [_unit_row(self.automaton, state)])
-        while len(chain) <= n:
-            k = len(chain) - 1
-            chain.append(advance_row(self.automaton, chain[-1],
-                                     self.word.char_at(i + k)))
-        return chain[n]
+        super().__init__(aut, word, policy)
 
     def at(self, i: int, n: int):
-        sr = self.automaton.semiring
-        total = sr.zero
-        for p, q in self._live:
-            total = sr.add(total, sr.mul(sr.mul(self.automaton.initial[p],
-                                                self._row(p, i, n)[q]),
-                                         self.automaton.final[q]))
-        return total
+        return self._value(i, n)
 
     def grid(self) -> BiWeightGrid:
         return BiWeightGrid(self.automaton.semiring, self.at)

@@ -9,7 +9,6 @@ evaluated with the activation mask (see :mod:`divaut.activation`).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -38,18 +37,6 @@ def mat_mul(sr: Semiring, a, b):
         tuple(sr.sum(sr.mul(a[i][t], b[t][j]) for t in range(k)) for j in range(m))
         for i in range(n)
     )
-
-
-def mat_pow(sr: Semiring, m, e: int):
-    n = len(m)
-    out = identity_matrix(sr, n)
-    base = m
-    while e:
-        if e & 1:
-            out = mat_mul(sr, out, base)
-        base = mat_mul(sr, base, base)
-        e >>= 1
-    return out
 
 
 def vec_mat(sr: Semiring, v, m):
@@ -597,19 +584,3 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
 
     return search({}, set())
 
-
-def enumerate_path_weight(aut: Automaton, word: FiniteWord):
-    """Brute-force oracle: sum over every state sequence of the product of
-    initial weight, transition weights, and final weight.  Exponential; only
-    for cross-checking the matrix-product evaluation."""
-    require_same_alphabet(aut.alphabet, word.alphabet)
-    sr = aut.semiring
-    total = sr.zero
-    states = range(aut.num_states)
-    for path in itertools.product(states, repeat=len(word) + 1):
-        w = aut.initial[path[0]]
-        for i, symbol in enumerate(word):
-            w = sr.mul(w, aut.matrix(symbol)[path[i]][path[i + 1]])
-        w = sr.mul(w, aut.final[path[-1]])
-        total = sr.add(total, w)
-    return total

@@ -376,6 +376,8 @@ def _parse_hs_terms(text: str):
 def _print_expect_table(ev, n_max: int, rate_at):
     from .semiring import GAUSSIAN
 
+    if rate_at is not None and rate_at < 1:
+        raise DivautError(f"--rate-at must be at least 1, got {rate_at}")
     rows = []
     for n in range(n_max + 1):
         numerator, denominator, ratio = ev.row(n)

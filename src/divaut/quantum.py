@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .activation import AUTO, ActivationPolicy, BidivergingBehavior
-from .automaton import Automaton, mat_pow
+from .automaton import Automaton
 from .errors import AlphabetMismatch, SemiringMismatch
 from .semiring import GAUSSIAN, GaussianRational, gaussian
 from .series import Atom, Cat, Conjoin3, Scale, Star, Sum
@@ -200,12 +200,7 @@ class ScalarSequence:
     """Sequence of exact complex numbers read off an automaton over the
     singleton alphabet; the word and window start are immaterial, so the
     behavior is indexed by n alone (window start fixed at 0).
-
-    Consecutive queries extend a cached row; an isolated far-out query jumps
-    there with a squared matrix power instead.
     """
-
-    _JUMP = 512
 
     def __init__(self, aut: Automaton, policy: ActivationPolicy = AUTO):
         if aut.alphabet != SCALAR:
@@ -214,17 +209,6 @@ class ScalarSequence:
         self._behavior = BidivergingBehavior(aut, _SCALAR_WORD, policy)
 
     def at(self, n: int) -> GaussianRational:
-        if n > self._JUMP:
-            sr = self.automaton.semiring
-            power = mat_pow(sr, self.automaton.matrix("0"), n)
-            total = sr.zero
-            for (p, q), live in self._behavior.verdict.pairs.items():
-                if not live:
-                    continue
-                total = sr.add(total, sr.mul(sr.mul(self.automaton.initial[p],
-                                                    power[p][q]),
-                                             self.automaton.final[q]))
-            return total
         return self._behavior.at(0, n)
 
     def prefix(self, count: int):

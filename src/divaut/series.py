@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .activation import AUTO, ActivationPolicy, _decide_onesided, _decide_twosided
+from .activation import AUTO, ActivationPolicy, _decide
 from .errors import ImproperStar
 from .semiring import Semiring
 from .words import BiInfiniteWord, FiniteWord, UPInfiniteWord
@@ -226,8 +226,7 @@ def chi_forward(sr: Semiring, tester: Expr, word: UPInfiniteWord,
     from .kleene import compile_conv
 
     aut = compile_conv(sr, word.alphabet, tester)
-    got, _ = _decide_onesided(aut, word, aut.initial, aut.final, policy)
-    return got
+    return bool(_decide(aut, word, policy, [aut.initial], [aut.final])[1][0])
 
 
 def chi_twoway(sr: Semiring, tester: Expr, word: BiInfiniteWord,
@@ -247,8 +246,7 @@ def chi_twoway(sr: Semiring, tester: Expr, word: BiInfiniteWord,
     from .kleene import compile_conv
 
     aut = compile_conv(sr, word.alphabet, tester)
-    got, _ = _decide_twosided(aut, word, aut.initial, aut.final, policy)
-    return got
+    return bool(_decide(aut, word, policy, [aut.initial], [aut.final])[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,13 @@ import pytest
 from divaut.automaton import Automaton
 from divaut.semiring import BOOLEAN, NATURAL, RATIONAL
 from divaut.series import Atom, Cat, Conjoin2, Conjoin3, Omega, Scale, Star, Sum, Zeta
-from divaut.words import Alphabet, BiInfiniteWord, FiniteWord, UPInfiniteWord
+from divaut.words import (
+    Alphabet,
+    BiInfiniteWord,
+    FiniteWord,
+    UPInfiniteWord,
+    require_same_alphabet,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -53,6 +60,23 @@ def up_word(prefix, cycle, alphabet=AB):
 
 def bi_word(left, center, right, alphabet=AB):
     return BiInfiniteWord(alphabet, tuple(left), tuple(center), tuple(right))
+
+
+def enumerate_path_weight(aut: Automaton, word: FiniteWord):
+    """Brute-force oracle: sum over every state sequence of the product of
+    initial weight, transition weights, and final weight.  Exponential; only
+    for cross-checking the matrix-product evaluation."""
+    require_same_alphabet(aut.alphabet, word.alphabet)
+    sr = aut.semiring
+    total = sr.zero
+    states = range(aut.num_states)
+    for path in itertools.product(states, repeat=len(word) + 1):
+        w = aut.initial[path[0]]
+        for i, symbol in enumerate(word):
+            w = sr.mul(w, aut.matrix(symbol)[path[i]][path[i + 1]])
+        w = sr.mul(w, aut.final[path[-1]])
+        total = sr.add(total, w)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from divaut.automaton import (
     converging_weight,
     disjoin2,
     disjoin3,
-    enumerate_path_weight,
     isomorphic,
     normalize,
     roll,
@@ -49,6 +48,7 @@ from divaut.quantum import (
 
 from conftest import (
     AB,
+    enumerate_path_weight,
     finite,
     random_bi_word,
     random_bidiv_expr,

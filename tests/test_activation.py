@@ -289,3 +289,101 @@ def test_bidiverging_one_shot(figure_two):
     value = bidiverging_behavior(figure_two, word, 0, 3)
     context = BidivergingBehavior(figure_two, word)
     assert value == context.at(0, 3)
+
+
+def test_empty_verdict_names_its_method():
+    # no initial state, so no pair is decided and nothing is refused
+    aut = Automaton.build(RATIONAL, AB, 2, {}, {1: 1},
+                          [(0, 1, "a", 1), (1, 1, "b", 1)])
+    onesided = activation_verdicts(aut, up_word([], "ab"))
+    assert onesided.pairs == {} and onesided.method == "ExactFieldLRS"
+    twosided = bi_word("a", "", "b")
+    assert activation_verdicts(aut, twosided).method == "BoundedHorizon(16)"
+    refused = activation_verdicts(aut, twosided, EXACT)
+    assert refused.pairs == {} and refused.method == "NoExactMethod"
+    assert activation_verdicts(aut, twosided, horizon(8)).method == "BoundedHorizon(8)"
+
+
+# ---------------------------------------------------------------------------
+# masked evaluator
+
+def grouped_gadget():
+    """Initial states 0 and 1 share their live final 3.  Initial state 2
+    reaches 3 by two routes that cancel, plus a direct b-edge that is only
+    non-zero on length-1 windows, so its pair is dead but not silent."""
+    return Automaton.build(
+        RATIONAL, AB, 6, {0: 2, 1: Fraction(-1, 3), 2: 5}, {3: Fraction(1, 2)},
+        [(0, 0, "a", 1), (0, 0, "b", 1), (0, 3, "a", 1),
+         (1, 1, "a", Fraction(1, 2)), (1, 1, "b", 2), (1, 3, "a", 3),
+         (2, 4, "a", 1), (2, 5, "a", -1), (2, 3, "b", 7),
+         (4, 4, "a", 1), (4, 4, "b", 1), (5, 5, "a", 1), (5, 5, "b", 1),
+         (4, 3, "a", 1), (5, 3, "a", 1)])
+
+
+def walked_value(aut, word, live, start, n):
+    """Sum over the live pairs of initial . dense row walk . final."""
+    sr = aut.semiring
+    size = aut.num_states
+    total = sr.zero
+    for i, f in live:
+        row = [sr.one if s == i else sr.zero for s in range(size)]
+        for k in range(n):
+            mat = aut.matrix(word.char_at(start + k))
+            row = [sr.sum(sr.mul(row[s], mat[s][t]) for s in range(size))
+                   for t in range(size)]
+        total = sr.add(total, sr.mul(sr.mul(aut.initial[i], row[f]), aut.final[f]))
+    return total
+
+
+def test_masked_evaluator_matches_live_pair_walks():
+    gadget = grouped_gadget()
+    rng = random.Random(612)
+    cases = [(gadget, up_word([], "ba"), bi_word("ab", "b", "ba"))]
+    cases += [(random_rational_automaton(rng), random_up_word(rng), random_bi_word(rng))
+              for _ in range(8)]
+    for aut, ray, biword in cases:
+        one = DivergingBehavior(aut, ray)
+        two = BidivergingBehavior(aut, biword)
+        for behavior in (one, two):
+            live = [pair for pair, ok in behavior.verdict.pairs.items() if ok]
+            if aut is gadget:
+                assert live == [(0, 3), (1, 3)]
+            for n in range(13):
+                if behavior is one:
+                    assert one.at(n) == walked_value(aut, ray, live, 0, n)
+                else:
+                    for i in (-2, 0, 3):
+                        assert two.at(i, n) == walked_value(aut, biword, live, i, n)
+    # the dead pair is masked out where it alone is non-zero
+    assert converging_weight(gadget, finite("b")) == Fraction(35, 2)
+    assert DivergingBehavior(gadget, up_word([], "ba")).at(1) == 0
+
+
+def test_out_of_order_queries_match_ascending_table(figure_two):
+    ray = up_word("b", "ab")
+    mixed = DivergingBehavior(figure_two, ray)
+    got = [mixed.at(n) for n in (9, 3, 9, 0, 12, 5)]
+    fresh = DivergingBehavior(figure_two, ray)
+    table = [fresh.at(n) for n in range(13)]
+    assert got == [table[n] for n in (9, 3, 9, 0, 12, 5)]
+
+    word = bi_word("ab", "b", "ab")
+    queries = [(2, 9), (-1, 3), (2, 3), (0, 9), (-1, 9), (2, 9), (0, 0)]
+    mixed = BidivergingBehavior(figure_two, word)
+    got = [mixed.at(i, n) for i, n in queries]
+    tables = {}
+    for i in (2, -1, 0):
+        fresh = BidivergingBehavior(figure_two, word)
+        tables[i] = [fresh.at(i, n) for n in range(10)]
+    assert got == [tables[i][n] for i, n in queries]
+
+
+def test_negative_window_length_raises(figure_two):
+    one = DivergingBehavior(figure_two, up_word([], "ab"))
+    assert one.at(5) == 32
+    with pytest.raises(IndexError):
+        one.at(-1)
+    two = BidivergingBehavior(figure_two, bi_word("ab", "", "ab"))
+    two.at(0, 5)
+    with pytest.raises(IndexError):
+        two.at(0, -1)

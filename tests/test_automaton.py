@@ -15,7 +15,6 @@ from divaut.automaton import (
     decompose_diverging,
     disjoin2,
     disjoin3,
-    enumerate_path_weight,
     isomorphic,
     normalize,
     roll,
@@ -36,6 +35,7 @@ from divaut.semiring import NATURAL, RATIONAL
 
 from conftest import (
     AB,
+    enumerate_path_weight,
     finite,
     random_bi_word,
     random_finite_word,

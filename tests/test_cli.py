@@ -373,6 +373,26 @@ def test_quantum_hs_rate(capsys):
     assert lines[-1].startswith("rate\t")
 
 
+def test_quantum_hs_rate_at_must_be_positive(capsys):
+    code, out, err = run(capsys, "quantum", "hs", "--terms", "1,1/2", "--n", "3",
+                         "--rate-at", "0")
+    assert (code, out) == (1, "")
+    assert "--rate-at" in err
+
+
+def test_quantum_expect_rate_at_must_be_positive(tmp_path, capsys):
+    mag = tmp_path / "mag.aut"
+    run(capsys, "quantum", "magnetization", "--out", str(mag))
+    state = tmp_path / "up.aut"
+    state.write_text("semiring: gaussian\nalphabet: [up, dn]\nstates: [s]\n"
+                     "initial: {s: 1}\nfinal: {s: 1}\n"
+                     "transitions: [{from: s, to: s, symbol: up, weight: 1}]\n")
+    code, out, err = run(capsys, "quantum", "expect", "--state", str(state),
+                         "--operator", str(mag), "--n", "4", "--rate-at", "0")
+    assert (code, out) == (1, "")
+    assert "--rate-at" in err
+
+
 def test_quantum_hs_rejects_bad_terms(capsys):
     code, _, err = run(capsys, "quantum", "hs", "--terms", "nope", "--n", "3")
     assert code in (1, 2)

@@ -351,3 +351,10 @@ def test_hs_rate_approaches_geometric_sum():
     gap = limit - rate
     assert gap.imag == 0
     assert 0 <= gap.real <= Fraction(1, 2) ** 38
+
+
+def test_scalar_sequence_rejects_negative_length():
+    sequence = norm_sequence(up_state())
+    assert sequence.at(5) == ONE
+    with pytest.raises(IndexError):
+        sequence.at(-1)
