@@ -5,27 +5,31 @@ long prefixes have a non-zero i-to-f path sum, and by a biinfinite word when
 every window admits an enclosing window with a non-zero path sum.  Behavior
 values sum only over activated pairs; everything else is masked to zero.
 
-Deciding activation exactly depends on the semiring:
+A prefix of ``u v^w`` reads u v^k v[:r] and an enclosing window of
+``l^~w m r^w`` reads l[-s:] l^a m r^b r[:t]; the pair is activated when such
+sums stay non-zero for arbitrarily large exponents.  Whether the semiring
+cancels picks one of two exact rules (``auto`` and ``exact`` are the same):
 
-* Boolean: the matrix monoid is finite, so the powers of the cycle matrix
-  are eventually periodic; scan one full period past the preperiod.
-* Natural: no cancellation, so a path sum is non-zero exactly when some
-  path is, which reduces the question to the Boolean projection.
-* Rational / Gaussian rational (fields): along each residue of the cycle
-  length the prefix sums form a linear recurrence s_k = u . C^k . v of order
-  at most d = |Q|.  Such a sequence that is eventually zero is zero from
-  index d on (its generating function is a polynomial of degree < d), and by
-  the Cayley-Hamilton recurrence it is eventually zero iff s_d .. s_{2d-1}
-  all vanish.  So one exact window of length d decides the tail.
+* Boolean / natural: a sum is non-zero iff some path exists, so this is
+  reachability on the supports ("pumped reach").  Among the states the cycle
+  reaches from the start set, repeatedly peel off those with no predecessor
+  left; the rest are reached by arbitrarily long walks.  Two-sided words
+  pump the left cycle from each suffix phase, cross the center, and meet the
+  transposed right cycle pumped from each prefix phase.
+* Fields: for fixed phases the sums are linear recurrences of order at most
+  d = |Q| in each exponent (Cayley-Hamilton; Berstel & Reutenauer,
+  *Noncommutative Rational Series with Applications*, ch. 2).  One that is
+  eventually zero is zero from exponent d on, and one that vanishes on d
+  consecutive exponents >= d vanishes on all of them.  So the window of
+  prefix lengths [|u| + d|v|, |u| + 2d|v|) decides one-sided words and the
+  extents [d|l|, 2d|l|) x [d|r|, 2d|r|) around the center two-sided ones; a
+  purely periodic word takes the one-sided window per rotation.
 
-No general exact two-sided decision is implemented for fields; biinfinite
-activation over a field falls back to a bounded horizon scan unless the
-caller insists on exactness, in which case it refuses.  The one exception
-is a singleton alphabet (constant word), where a window's sum depends only
-on its length and the recurrence argument applies unchanged.
-
-Every method decides a batch at once: it makes one pass per start row and
-reports, for each row, the set of end columns it activates.
+A semiring that cancels but is not a field has no exact rule and raises
+:class:`UnsupportedExactDecision`.  ``horizon:K`` is an explicit
+approximation for differential testing: prefix lengths (K/2, K], extents
+[K/2, K].  Every rule makes one pass per start row (and, two-sided, one per
+end column) and reports for each row the set of end columns it activates.
 """
 from __future__ import annotations
 
@@ -33,27 +37,16 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .automaton import (
-    Automaton,
-    advance_row,
-    identity_matrix,
-    mat_mul,
-    mat_vec,
-    dot,
-    vec_mat,
-)
+from .automaton import Automaton, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import BOOLEAN, WeightSequence, BiWeightGrid
-from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet
-
-_MONOID_CAP = 8192
+from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
 
 
 @dataclass(frozen=True)
 class ActivationPolicy:
-    """auto: exact where available, bounded horizon otherwise.
-    exact: refuse when no exact method exists.
-    horizon: always scan up to the given bound."""
+    """auto / exact: the exact rule of the semiring (the two are the same).
+    horizon: scan windows up to the given bound instead."""
 
     kind: str  # "auto" | "exact" | "horizon"
     horizon: int = 0
@@ -89,11 +82,11 @@ class ActivationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Boolean projection
+# no cancellation: pumped reach on the supports
 #
-# Boolean matrices are packed into integer bitmasks (one int per row) so the
-# finite-monoid searches stay cheap on the large automata the translations
-# produce.
+# A support is an integer bitmask of states and a support matrix one bitmask
+# per state, so the reach and peel loops stay cheap on the large automata
+# the translations produce.
 
 def _bits_of_rows(sparse_rows):
     return tuple(sum(1 << j for j, _ in row) for row in sparse_rows)
@@ -103,86 +96,85 @@ def _bits_of_vector(sr, vec):
     return sum(1 << j for j, w in enumerate(vec) if not sr.is_zero(w))
 
 
-def _bit_identity(n):
-    return tuple(1 << i for i in range(n))
+def _members(bits: int):
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
-def _bit_vec_mat(row_bits: int, mat_bits) -> int:
-    acc = 0
-    remaining = row_bits
-    while remaining:
-        low = remaining & -remaining
-        acc |= mat_bits[low.bit_length() - 1]
-        remaining ^= low
-    return acc
+def _bit_step(bits: int, mat_bits) -> int:
+    """The states one step of ``mat_bits`` reaches from ``bits``."""
+    return reduce(or_, (mat_bits[j] for j in _members(bits)), 0)
 
 
-def _bit_mat_mul(a_bits, b_bits):
-    return tuple(_bit_vec_mat(row, b_bits) for row in a_bits)
+def _transpose(mat_bits):
+    return tuple(sum(1 << i for i, row in enumerate(mat_bits) if row >> j & 1)
+                 for j in range(len(mat_bits)))
 
 
-def _bit_union(mats):
-    """Entrywise OR of bit-packed matrices of one size."""
-    return tuple(reduce(or_, row) for row in zip(*mats))
+def _pumped(start: int, cycle, pred) -> int:
+    """The states that ``start . cycle^k`` holds for arbitrarily large k;
+    ``pred`` is the transpose of ``cycle``.
 
-
-def _monoid_powers(mat_bits):
-    """Bit-packed Boolean powers C^0, C^1, ... up to one full period past
-    the preperiod; returns (powers, preperiod, period)."""
-    powers = [_bit_identity(len(mat_bits))]
-    seen = {powers[0]: 0}
-    while True:
-        nxt = _bit_mat_mul(powers[-1], mat_bits)
-        if nxt in seen:
-            start = seen[nxt]
-            return powers, start, len(powers) - start
-        seen[nxt] = len(powers)
-        powers.append(nxt)
-        if len(powers) > _MONOID_CAP:
-            raise RuntimeError("boolean matrix monoid exceeded the iteration cap")
-
-
-def _monoid_reach(aut, word):
-    """Exact decision over Boolean/Natural, on the Boolean projection.
-
-    Returns the bit matrix T for which row . T holds every state that row
-    reaches with non-zero weight on arbitrarily long windows.  One-sided
-    prefixes factor as u . C^k . v[:r]; two-sided enclosing windows factor
-    as suffix(l) . L^a . M(m) . R^b . prefix(r), with both exponents large.
-    Past the preperiod the powers of a cycle matrix repeat, so each factor
-    ranges over finitely many matrices, and since the Boolean product
-    distributes over OR, T is the product of each factor's entrywise OR.
+    Peeling keeps exactly these: a survivor traces back through survivors
+    to a cycle reachable from ``start``, and a state reached by arbitrarily
+    long walks always has a predecessor that is too.
     """
-    bmats = {s: _bits_of_rows(aut.sparse_rows(s)) for s in aut.alphabet}
-    n = aut.num_states
+    reach = frontier = start
+    while frontier:
+        frontier = _bit_step(frontier, cycle) & ~reach
+        reach |= frontier
+    while True:
+        kept = sum(1 << q for q in _members(reach) if pred[q] & reach)
+        if kept == reach:
+            return reach
+        reach = kept
 
-    def product(symbols):
-        out = _bit_identity(n)
+
+def _pumped_reach(aut, word, rows, cols) -> list:
+    """Exact decision over Boolean/natural weights (see the module notes)."""
+    sr = aut.semiring
+    mats = {s: _bits_of_rows(aut.sparse_rows(s)) for s in aut.alphabet}
+
+    def walk(bits, symbols, by=mats):
         for s in symbols:
-            out = _bit_mat_mul(out, bmats[s])
-        return out
+            bits = _bit_step(bits, by[s])
+        return bits
 
-    def powers_past_preperiod(cycle):
-        powers, start, period = _monoid_powers(product(cycle))
-        return _bit_union(powers[start:start + period])
+    def cycle_matrix(symbols):
+        return tuple(walk(1 << i, symbols) for i in range(aut.num_states))
 
+    heads = [_bits_of_vector(sr, row) for row in rows]
+    ends = [_bits_of_vector(sr, col) for col in cols]
     if isinstance(word, BiInfiniteWord):
         left, right = word.left, word.right
-        factors = [_bit_union(product(left[len(left) - s:]) for s in range(len(left))),
-                   powers_past_preperiod(left),
-                   product(word.center),
-                   powers_past_preperiod(right),
-                   _bit_union(product(right[:t]) for t in range(len(right)))]
+        lmat, rmat = cycle_matrix(left), cycle_matrix(right)
+        lpred, rtrans = _transpose(lmat), _transpose(rmat)
+        tmats = {s: _transpose(m) for s, m in mats.items()}
+        heads = [walk(reduce(or_, (_pumped(walk(h, left[len(left) - s:]), lmat, lpred)
+                                   for s in range(len(left)))), word.center)
+                 for h in heads]
+        ends = [reduce(or_, (_pumped(walk(e, right[:t][::-1], tmats), rtrans, rmat)
+                             for t in range(len(right))))
+                for e in ends]
     else:
         cycle = word.cycle
-        factors = [product(word.prefix),
-                   powers_past_preperiod(cycle),
-                   _bit_union(product(cycle[:r]) for r in range(len(cycle)))]
-    return reduce(_bit_mat_mul, factors)
+        cmat = cycle_matrix(cycle)
+        cpred = _transpose(cmat)
+        pumped = [_pumped(walk(h, word.prefix), cmat, cpred) for h in heads]
+        heads = []
+        for bits in pumped:  # then any partial prefix of the cycle
+            union = bits
+            for s in cycle[:-1]:
+                bits = _bit_step(bits, mats[s])
+                union |= bits
+            heads.append(union)
+    return [{c for c, e in enumerate(ends) if h & e} for h in heads]
 
 
 # ---------------------------------------------------------------------------
-# fields and bounded horizons
+# fields and bounded horizons: value walks over windows
 
 def _walk(aut, word, row, cols, lo: int, hi: int) -> set:
     """Indices c with row . M(w[0..n]) . cols[c] non-zero for some n in
@@ -209,42 +201,65 @@ def _walk(aut, word, row, cols, lo: int, hi: int) -> set:
     return live
 
 
-def _twosided_horizon(aut, word, rows, cols, bound: int) -> list:
-    """Approximate two-sided decision: the window reaching ``bound/2`` on each
-    side of the center must admit an enclosing non-zero sum within ``bound``.
+def _col_step(aut, col, symbol):
+    """M(symbol) . col using the sparse adjacency."""
+    sr = aut.semiring
+    return tuple(sr.sum(sr.mul(w, col[j]) for j, w in row if not sr.is_zero(col[j]))
+                 for row in aut.sparse_rows(symbol))
 
-    Larger windows only need enclosures of their own, so checking the widest
-    reachable base window covers every smaller one.  The dense products are
-    built once for the word and applied to every row and column.
+
+def _steps(aut, step, vec, symbols):
+    for symbol in symbols:
+        vec = step(aut, vec, symbol)
+    return vec
+
+
+def _extent_vectors(aut, step, vec, cycle, extents):
+    """``vec`` stepped over the last s symbols of ``cycle`` and then a copies
+    of it, for each extent s + a * len(cycle) in ``extents``: one walk per
+    phase s."""
+    n = len(cycle)
+    for s in range(n):
+        current = _steps(aut, step, vec, cycle[n - s:])
+        for e in range(s, extents.stop, n):
+            if e > s:
+                current = _steps(aut, step, current, cycle)
+            if e >= extents.start:
+                yield current
+
+
+def _extent_walks(aut, word, rows, cols, left_extents, right_extents) -> list:
+    """Two-sided decision over the windows reaching e symbols left and g
+    symbols right of the center, for e and g in the given extents.
+
+    Such a window sums to head . tail, with head = row . M(w[-e..0)) . M(m)
+    and tail = M(w[|m|..|m| + g)) . col; heads are row walks along the left
+    cycle and tails column walks along the reversed right cycle.
     """
     sr = aut.semiring
-    half = max(1, bound // 2)
-    width = len(word.center)
-
-    def char(i):  # activation is shift-invariant: index from the center
-        return word.char_at(word.origin + i)
-
-    mat = identity_matrix(sr, aut.num_states)
-    for i in range(-half, width + half):
-        mat = mat_mul(sr, mat, aut.matrix(char(i)))
-    heads = [[vec_mat(sr, row, mat)] for row in rows]  # row . M(w[i..]) . mid
-    for i in range(-half - 1, -bound - 1, -1):
-        mat = mat_mul(sr, aut.matrix(char(i)), mat)
-        for head, row in zip(heads, rows):
-            head.append(vec_mat(sr, row, mat))
-    tails = [[col] for col in cols]  # M(w[..j]) . col
-    mat = identity_matrix(sr, aut.num_states)
-    for j in range(width + half, width + bound):
-        mat = mat_mul(sr, mat, aut.matrix(char(j)))
-        for tail, col in zip(tails, cols):
-            tail.append(mat_vec(sr, mat, col))
-    return [{c for c, tail in enumerate(tails)
-             if any(not sr.is_zero(dot(sr, h, t)) for h in head for t in tail)}
-            for head in heads]
+    tails = [[[(j, w) for j, w in enumerate(t) if not sr.is_zero(w)]
+              for t in _extent_vectors(aut, _col_step, col, word.right[::-1], right_extents)]
+             for col in cols]
+    live = []
+    for row in rows:
+        heads = [_steps(aut, advance_row, h, word.center)
+                 for h in _extent_vectors(aut, advance_row, row, word.left, left_extents)]
+        live.append({c for c, tail in enumerate(tails)
+                     if any(not sr.is_zero(sr.sum(sr.mul(h[j], w) for j, w in t))
+                            for h in heads for t in tail)})
+    return live
 
 
-def default_twosided_bound(aut: Automaton, word: BiInfiniteWord) -> int:
-    return 4 * max(aut.num_states ** 2, len(word.left) * len(word.right), 1)
+def _rotations(word: BiInfiniteWord) -> list:
+    """For a purely periodic biinfinite word, the one-sided word
+    (rotation of the period)^w from each window start modulo the period;
+    otherwise []. A period of the word is one of its left tail, so it
+    divides |l|."""
+    n = len(word.left)
+    period = next((p for p in range(1, n + 1)
+                   if n % p == 0 and words_equal(word, word.shift_by(p))), 0)
+    return [UPInfiniteWord(word.alphabet, (), tuple(word.char_at(r + k) for k in range(period)))
+            for r in range(period)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,53 +269,45 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     """(method, live): ``live[r]`` is the set of indices c such that the
     pair (rows[r], cols[c]) is activated by ``word``.
 
-    The method is resolved once for the semiring, the word shape and the
-    policy; it refuses only when some pair must be decided.
+    The method is resolved once for the semiring and the policy; it refuses
+    only when some pair must be decided.
     """
     sr = aut.semiring
-    two_sided = isinstance(word, BiInfiniteWord)
-    bound = policy.horizon
-    if policy.kind == "horizon":
+    bound = policy.horizon if policy.kind == "horizon" else None
+    if bound is not None:
         method = f"BoundedHorizon({bound})"
-    elif sr is BOOLEAN:
-        method = "ExactBooleanMonoid"
     elif not sr.has_cancellation:
-        method = "ExactNaturalReduction"
-    elif sr.is_field and not (two_sided and len(aut.alphabet.symbols) > 1):
+        method = "ExactBooleanReach" if sr is BOOLEAN else "ExactNaturalReduction"
+    elif sr.is_field:
         method = "ExactFieldLRS"
-    elif two_sided and policy.kind == "auto":
-        bound = default_twosided_bound(aut, word)
-        method = f"BoundedHorizon({bound})"
     else:
         method = "NoExactMethod"
     if not rows or not cols:
         return method, [set() for _ in rows]
-
     if method == "NoExactMethod":
-        if two_sided:
-            raise UnsupportedExactDecision(
-                f"no exact two-sided activation decision for semiring {sr.name}; "
-                "use --activation horizon:<K>")
         raise UnsupportedExactDecision(
-            f"no exact activation decision for semiring {sr.name}")
-    if method in ("ExactBooleanMonoid", "ExactNaturalReduction"):
-        reach = _monoid_reach(aut, word)
-        col_bits = [_bits_of_vector(sr, col) for col in cols]
-        heads = [_bit_vec_mat(_bits_of_vector(sr, row), reach) for row in rows]
-        return method, [{c for c, bits in enumerate(col_bits) if head & bits}
-                        for head in heads]
-    if method == "ExactFieldLRS":
-        if two_sided:
-            # constant word: a window's sum depends on its length alone, so
-            # the two-sided condition collapses to the one-sided tail question
-            word = UPInfiniteWord(aut.alphabet, (), aut.alphabet.symbols)
-        lo = len(word.prefix) + aut.num_states * len(word.cycle)
-        hi = lo + aut.num_states * len(word.cycle)
-    elif two_sided:
-        return method, _twosided_horizon(aut, word, rows, cols, bound)
+            f"no exact activation decision for semiring {sr.name}: it cancels and "
+            "is not a field; use --activation horizon:<K>")
+    if bound is None and not sr.has_cancellation:
+        return method, _pumped_reach(aut, word, rows, cols)
+    d = aut.num_states
+    if isinstance(word, UPInfiniteWord):
+        if bound is not None:
+            lo, hi = bound // 2 + 1, bound + 1
+        else:
+            lo = len(word.prefix) + d * len(word.cycle)
+            hi = lo + d * len(word.cycle)
+        return method, [_walk(aut, word, row, cols, lo, hi) for row in rows]
+    if bound is not None:
+        left = right = range(max(1, bound // 2), bound + 1)
+    elif rays := _rotations(word):
+        lo = d * len(rays)  # the window [d p, 2 d p) of each rotation
+        return method, [set().union(*(_walk(aut, ray, row, cols, lo, 2 * lo) for ray in rays))
+                        for row in rows]
     else:
-        lo, hi = bound // 2 + 1, bound + 1
-    return method, [_walk(aut, word, row, cols, lo, hi) for row in rows]
+        left = range(d * len(word.left), 2 * d * len(word.left))
+        right = range(d * len(word.right), 2 * d * len(word.right))
+    return method, _extent_walks(aut, word, rows, cols, left, right)
 
 
 def _unit_row(aut, state):

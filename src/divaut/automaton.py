@@ -23,30 +23,7 @@ from .words import Alphabet, FiniteWord, require_same_alphabet
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers over a semiring (plain tuples; sizes stay small and exact)
-
-def identity_matrix(sr: Semiring, n: int):
-    return tuple(tuple(sr.one if i == j else sr.zero for j in range(n)) for i in range(n))
-
-
-def mat_mul(sr: Semiring, a, b):
-    n = len(a)
-    m = len(b[0]) if b else 0
-    k = len(b)
-    return tuple(
-        tuple(sr.sum(sr.mul(a[i][t], b[t][j]) for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def vec_mat(sr: Semiring, v, m):
-    cols = len(m[0]) if m else 0
-    return tuple(sr.sum(sr.mul(v[i], m[i][j]) for i in range(len(v))) for j in range(cols))
-
-
-def mat_vec(sr: Semiring, m, v):
-    return tuple(sr.sum(sr.mul(m[i][j], v[j]) for j in range(len(v))) for i in range(len(m)))
-
+# vector helpers over a semiring (plain tuples against the sparse adjacency)
 
 def dot(sr: Semiring, u, v):
     return sr.sum(sr.mul(a, b) for a, b in zip(u, v))

@@ -517,7 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact weights outgrow the default 4300-digit int<->str limit: lift it
+    # while the command runs (where the interpreter has one)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         args.func(args)
     except DivautParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -525,6 +530,9 @@ def main(argv=None) -> int:
     except DivautError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

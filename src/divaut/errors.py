@@ -39,8 +39,9 @@ class ImproperStar(DivautError):
 
 
 class UnsupportedExactDecision(DivautError):
-    """No exact activation procedure is available for this semiring; use a
-    bounded horizon instead."""
+    """Activation must be decided over a semiring that cancels but is not a
+    field, where no exact rule applies (every built-in semiring has one).
+    An explicit ``horizon:K`` policy still answers, approximately."""
 
 
 class DivautParseError(DivautError):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divaut.activation import (
     AUTO,
@@ -18,8 +19,8 @@ from divaut.activation import (
 )
 from divaut.automaton import Automaton, converging_weight
 from divaut.errors import UnsupportedExactDecision
-from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, gaussian
-from divaut.words import Alphabet, BiInfiniteWord, slice_word
+from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, Semiring, gaussian
+from divaut.words import Alphabet, BiInfiniteWord, UPInfiniteWord, slice_word
 
 from conftest import (
     AB,
@@ -214,13 +215,30 @@ def test_single_site_marker_activated():
     # identity letters everywhere except one marked site: every window
     # grows to enclose the marker, so the end-to-end pair activates
     marks = Alphabet(("I", "Z"))
-    aut = Automaton.build(NATURAL, marks, 2, {0: 1}, {1: 1},
-                          [(0, 0, "I", 1), (1, 1, "I", 1), (0, 1, "Z", 1)])
-    word = BiInfiniteWord(marks, ("I",), ("Z",), ("I",))
-    assert activates_bidiverging(aut, word, 0, 1)
-    blank = BiInfiniteWord(marks, ("I",), (), ("I",))
-    assert not activates_bidiverging(aut, word.__class__(marks, ("I",), (), ("I",)), 0, 1)
-    assert not activates_bidiverging(aut, blank, 0, 1)
+    for sr in (NATURAL, BOOLEAN, RATIONAL, GAUSSIAN):
+        one = sr.one
+        aut = Automaton.build(sr, marks, 2, {0: one}, {1: one},
+                              [(0, 0, "I", one), (1, 1, "I", one), (0, 1, "Z", one)])
+        word = BiInfiniteWord(marks, ("I",), ("Z",), ("I",))
+        assert activates_bidiverging(aut, word, 0, 1)
+        blank = BiInfiniteWord(marks, ("I",), (), ("I",))
+        assert not activates_bidiverging(aut, word.__class__(marks, ("I",), (), ("I",)), 0, 1)
+        assert not activates_bidiverging(aut, blank, 0, 1)
+
+
+def test_twosided_transient_and_phase_pairs():
+    for sr in (BOOLEAN, NATURAL, RATIONAL, GAUSSIAN):
+        one = sr.one
+        # a window leaves state 0 only when it reaches exactly one a left of
+        # the center, so longer enclosures are all zero: dead
+        transient = Automaton.build(sr, AB, 2, {0: one}, {1: one},
+                                    [(0, 1, "a", one), (1, 1, "b", one)])
+        assert not activates_bidiverging(transient, bi_word("a", "", "b"), 0, 1)
+        # on the purely periodic (a b)^~w . (a b)^w only windows that start
+        # on a b symbol leave state 0, and every window has such enclosures
+        phase = Automaton.build(sr, AB, 2, {0: one}, {1: one},
+                                [(0, 1, "b", one), (1, 1, "a", one), (1, 1, "b", one)])
+        assert activates_bidiverging(phase, bi_word("ab", "", "ab"), 0, 1)
 
 
 def test_bidiverging_shift_invariance():
@@ -256,9 +274,11 @@ def test_exact_refused_for_field_twosided_multisymbol():
     aut = Automaton.build(RATIONAL, AB, 1, {0: 1}, {0: 1},
                           [(0, 0, "a", Fraction(1, 2)), (0, 0, "b", 1)])
     word = bi_word("a", "", "b")
-    with pytest.raises(UnsupportedExactDecision):
-        activates_bidiverging(aut, word, 0, 0, EXACT)
-    # auto falls back to a bounded horizon and answers
+    # fields have an exact two-sided rule, so exact answers rather than refuses
+    assert activates_bidiverging(aut, word, 0, 0, EXACT)
+    assert activates_bidiverging(aut, word, 0, 0, EXACT) == \
+        activates_bidiverging(aut, word, 0, 0, horizon(16))
+    assert activation_verdicts(aut, word, EXACT).method == "ExactFieldLRS"
     assert activates_bidiverging(aut, word, 0, 0, AUTO)
 
 
@@ -272,6 +292,90 @@ def test_exact_singleton_field_twosided():
     assert activates_bidiverging(aut, word, 0, 1, EXACT)
     verdict = activation_verdicts(aut, word, EXACT)
     assert verdict.method == "ExactFieldLRS"
+
+
+WEIGHTS = {
+    BOOLEAN: [True],
+    NATURAL: [1, 2, 3],
+    RATIONAL: [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2)],
+    GAUSSIAN: [gaussian(1), gaussian(-1), gaussian(0, 1), gaussian(Fraction(1, 2), -1)],
+}
+
+
+@st.composite
+def automaton_and_word(draw):
+    sr = draw(st.sampled_from(list(WEIGHTS)))
+    n = draw(st.integers(1, 4))
+    weight = st.sampled_from(WEIGHTS[sr])
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from("ab"), weight), max_size=3 * n))
+    ends = st.dictionaries(st.integers(0, n - 1), weight, min_size=1)
+    aut = Automaton.build(sr, AB, n, draw(ends), draw(ends), edges)
+    block = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
+    cycle = draw(block)
+    shape = draw(st.sampled_from(["ray", "bi", "periodic", "marked"]))
+    if shape == "ray":
+        return aut, UPInfiniteWord(AB, draw(block) if draw(st.booleans()) else (), cycle)
+    if shape == "bi":
+        return aut, BiInfiniteWord(AB, draw(block), draw(block) if draw(st.booleans()) else (),
+                                   cycle)
+    if shape == "periodic":  # e.g. ( a b )^~w . a b . ( a b )^w
+        return aut, BiInfiniteWord(AB, cycle, cycle, cycle)
+    return aut, BiInfiniteWord(AB, cycle, ("b",), cycle)  # ( a b )^~w . b . ( a b )^w
+
+
+@settings(max_examples=60, deadline=None)
+@given(automaton_and_word())
+def test_exact_verdicts_match_a_long_horizon(case):
+    # with K = 4 (d m + p + 1) the horizon windows hold d consecutive
+    # exponents >= d for every phase, where the exact rules decide
+    aut, word = case
+    if isinstance(word, UPInfiniteWord):
+        longest, prefix = len(word.cycle), len(word.prefix)
+    else:
+        longest, prefix = max(len(word.left), len(word.right)), len(word.center)
+    bound = 4 * (aut.num_states * longest + prefix + 1)
+    exact = activation_verdicts(aut, word, EXACT)
+    assert exact.method.startswith("Exact")
+    assert exact.pairs == activation_verdicts(aut, word, horizon(bound)).pairs
+
+
+class IntegersMod6(Semiring):
+    """Cancels (2 + 4 = 0) and has zero divisors (2 * 3 = 0): not a field."""
+
+    name = "z6"
+    has_cancellation = True
+    is_field = False
+    zero = 0
+    one = 1
+
+    def add(self, a, b):
+        return (a + b) % 6
+
+    def mul(self, a, b):
+        return a * b % 6
+
+    def check(self, value):
+        return value % 6
+
+
+def test_refusal_for_cancelling_non_field_semiring():
+    z6 = IntegersMod6()
+    edges = [(0, 1, "a", 2), (1, 1, "a", 3), (1, 1, "b", 1)]
+    ray, biword = up_word([], "a"), bi_word("a", "", "b")
+    aut = Automaton.build(z6, AB, 2, {0: 1}, {1: 1}, edges)
+    for word in (ray, biword):
+        for policy in (AUTO, EXACT):
+            with pytest.raises(UnsupportedExactDecision):
+                activation_verdicts(aut, word, policy)
+        assert activation_verdicts(aut, word, horizon(8)).method == "BoundedHorizon(8)"
+    # along a^w the only path weighs 2 * 3^(n - 1), which is 0 for n >= 2
+    assert activation_verdicts(aut, ray, horizon(8)).pairs == {(0, 1): False}
+    # nothing to decide, nothing refused
+    silent = Automaton.build(z6, AB, 2, {}, {1: 1}, edges)
+    for word in (ray, biword):
+        verdict = activation_verdicts(silent, word, EXACT)
+        assert verdict.pairs == {} and verdict.method == "NoExactMethod"
 
 
 def test_policy_parsing():
@@ -298,9 +402,9 @@ def test_empty_verdict_names_its_method():
     onesided = activation_verdicts(aut, up_word([], "ab"))
     assert onesided.pairs == {} and onesided.method == "ExactFieldLRS"
     twosided = bi_word("a", "", "b")
-    assert activation_verdicts(aut, twosided).method == "BoundedHorizon(16)"
-    refused = activation_verdicts(aut, twosided, EXACT)
-    assert refused.pairs == {} and refused.method == "NoExactMethod"
+    assert activation_verdicts(aut, twosided).method == "ExactFieldLRS"
+    exact = activation_verdicts(aut, twosided, EXACT)
+    assert exact.pairs == {} and exact.method == "ExactFieldLRS"
     assert activation_verdicts(aut, twosided, horizon(8)).method == "BoundedHorizon(8)"
 
 

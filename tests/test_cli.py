@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from divaut.automaton import Automaton, converging_weight
@@ -417,7 +419,80 @@ def test_activation_exact_refusal_surfaces(tmp_path, capsys):
                  "initial: {s: 1}\nfinal: {s: 1}\n"
                  "transitions: [{from: s, to: s, symbol: a, weight: 1/2},\n"
                  "  {from: s, to: s, symbol: b, weight: 1}]\n")
-    code, _, err = run(capsys, "--activation", "exact", "eval", str(f),
-                       "--word", "( a )^~w . ( b )^w", "--n-max", "2")
-    assert code == 1
-    assert "exact" in err
+    code, out, err = run(capsys, "--activation", "exact", "eval", str(f),
+                         "--word", "( a )^~w . ( b )^w", "--n-max", "2")
+    # rational two-sided words are decided exactly, so exact answers
+    assert code == 0 and err == ""
+    code, bounded, _ = run(capsys, "--activation", "horizon:16", "eval", str(f),
+                           "--word", "( a )^~w . ( b )^w", "--n-max", "2")
+    assert code == 0
+    assert out == bounded == "0\t1\n1\t1\n2\t1\n"
+
+
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def _decimal(value: int) -> str:
+    """str(value) past the interpreter's int-to-str digit limit."""
+    if _digit_limit() is None:
+        return str(value)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_weight_literal_past_int_digit_limit(tmp_path, capsys):
+    weight = _decimal(10 ** 4999 + 7)  # 5000 digits
+    f = tmp_path / "big.aut"
+    f.write_text("semiring: natural\nalphabet: [a]\nstates: [s, t]\n"
+                 "initial: {s: 1}\nfinal: {t: 1}\n"
+                 f"transitions: [{{from: s, to: t, symbol: a, weight: {weight}}}]\n")
+    limit = _digit_limit()
+    code, out, err = run(capsys, "eval", str(f), "--word", "a")
+    assert (code, out, err) == (0, weight + "\n", "")
+    assert _digit_limit() == limit
+
+
+def test_printed_weight_past_int_digit_limit(tmp_path, capsys):
+    # on (a b)^k a only q1 -a-> q2 -b-> q1 (2 * 1) and q1 -a-> q3 -b-> q1
+    # (1 * 2) carry weight, so the word weighs 4^k * 1 * 2 = 2^(2k + 1)
+    f = tmp_path / "doubling.aut"
+    write_figure_two(f)
+    limit = _digit_limit()
+    code, out, err = run(capsys, "eval", str(f), "--word", " ".join(["a b"] * 7200 + ["a"]))
+    assert (code, out, err) == (0, _decimal(2 ** 14401) + "\n", "")
+    assert _digit_limit() == limit
+
+
+def test_boolean_cycles_with_long_period(tmp_path, capsys):
+    # a-cycles of lengths 2, 3, 5, 7, 11 and 13: the cycle matrix has period
+    # lcm = 30030, so no short scan of its powers sees every phase
+    succ, offset = [], 0
+    for length in (2, 3, 5, 7, 11, 13):
+        succ += [offset + (k + 1) % length for k in range(length)]
+        offset += length
+    initials, finals = (0, 2), (1, 4)
+    f = tmp_path / "cycles.aut"
+    f.write_text(
+        "semiring: boolean\nalphabet: [a]\n"
+        f"states: [{', '.join(f'q{i}' for i in range(offset))}]\n"
+        f"initial: {{{', '.join(f'q{i}: T' for i in initials)}}}\n"
+        f"final: {{{', '.join(f'q{i}: T' for i in finals)}}}\n"
+        "transitions: [" + ",\n".join(f"{{from: q{i}, to: q{j}, symbol: a, weight: T}}"
+                                       for i, j in enumerate(succ)) + "]\n")
+
+    def lands_on_final(start, n):
+        for _ in range(n):
+            start = succ[start]
+        return start in finals
+
+    # every path is on a cycle, so a pair that meets once meets every
+    # period and the mask removes nothing from the unmasked walk
+    expected = "".join(f"{n}\t{'T' if any(lands_on_final(i, n) for i in initials) else 'F'}\n"
+                       for n in range(41))
+    code, out, err = run(capsys, "eval", str(f), "--word", "( a )^w", "--n-max", "40")
+    assert (code, out, err) == (0, expected, "")
