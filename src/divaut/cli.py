@@ -40,7 +40,7 @@ from .fileformat import (
     parse_expression_file,
 )
 from .semiring import require_same_semiring
-from .series import BidivSeries, DivSeries, expr_level
+from .series import BidivSeries, DivSeries, conv_coeff, expr_level
 from .words import (
     Alphabet,
     BiInfiniteWord,
@@ -102,46 +102,29 @@ def _print_rows(rows):
 # ---------------------------------------------------------------------------
 # eval
 
+_WORD_KINDS = {"conv": FiniteWord, "div": UPInfiniteWord, "bidiv": BiInfiniteWord}
+_WORD_NEEDED = {"conv": "a converging expression needs a finite word",
+                "div": "a diverging expression needs an infinite word",
+                "bidiv": "a bidiverging expression needs a biinfinite word"}
+
+
 def cmd_eval(args):
     obj = _load_any(args.file)
     policy = _policy(args.activation)
     chi = _policy(args.chi)
     if isinstance(obj, Automaton):
         word = parse_word(args.word, obj.alphabet)
-        if isinstance(word, FiniteWord):
-            print(obj.semiring.format(converging_weight(obj, word)))
-            return
-        if isinstance(word, UPInfiniteWord):
-            behavior = DivergingBehavior(obj, word, policy)
-            _print_rows((str(n), obj.semiring.format(behavior.at(n)))
-                        for n in range(args.n_max + 1))
-            return
-        behavior = BidivergingBehavior(obj, word, policy)
-        _print_rows((str(n), obj.semiring.format(behavior.at(args.i, n)))
-                    for n in range(args.n_max + 1))
-        return
-
-    sr, alphabet, expr = obj.semiring, obj.alphabet, obj.expr
-    level = expr_level(expr)
-    word = parse_word(args.word, alphabet)
+        level = next(lvl for lvl, kind in _WORD_KINDS.items() if isinstance(word, kind))
+    else:
+        level = expr_level(obj.expr)
+        word = parse_word(args.word, obj.alphabet)
+        if not isinstance(word, _WORD_KINDS[level]):
+            raise DivautError(_WORD_NEEDED[level])
+    sr, _, value = _evaluator(obj, level, policy, chi)
     if level == "conv":
-        if not isinstance(word, FiniteWord):
-            raise DivautError("a converging expression needs a finite word")
-        from .series import conv_coeff
-
-        print(sr.format(conv_coeff(sr, expr, word)))
+        print(sr.format(value(word, 0, 0)))
         return
-    if level == "div":
-        if not isinstance(word, UPInfiniteWord):
-            raise DivautError("a diverging expression needs an infinite word")
-        series = DivSeries(sr, expr, word, chi)
-        _print_rows((str(n), sr.format(series.at(n)))
-                    for n in range(args.n_max + 1))
-        return
-    if not isinstance(word, BiInfiniteWord):
-        raise DivautError("a bidiverging expression needs a biinfinite word")
-    series = BidivSeries(sr, expr, word, chi)
-    _print_rows((str(n), sr.format(series.at(args.i, n)))
+    _print_rows((str(n), sr.format(value(word, args.i, n)))
                 for n in range(args.n_max + 1))
 
 
@@ -246,47 +229,33 @@ def _sample_words(alphabet: Alphabet, level: str, count: int, seed: int):
 
 
 def _evaluator(obj, level, policy, chi):
-    """Returns (semiring, alphabet, f) where f(word, i, n) yields one value."""
+    """Returns (semiring, alphabet, f) where f(word, i, n) yields one value;
+    one-sided levels ignore the window start i."""
     if isinstance(obj, Automaton):
+        sr, alphabet = obj.semiring, obj.alphabet
         if level == "conv":
-            return obj.semiring, obj.alphabet, \
-                lambda word, i, n: converging_weight(obj, word)
-        if level == "div":
-            contexts = {}
+            return sr, alphabet, lambda word, i, n: converging_weight(obj, word)
+        behavior = DivergingBehavior if level == "div" else BidivergingBehavior
 
-            def f(word, i, n):
-                if word not in contexts:
-                    contexts[word] = DivergingBehavior(obj, word, policy)
-                return contexts[word].at(n)
-            return obj.semiring, obj.alphabet, f
-        contexts = {}
+        def context(word):
+            return behavior(obj, word, policy)
+    else:
+        sr, alphabet, expr = obj.semiring, obj.alphabet, obj.expr
+        if expr_level(expr) != level:
+            raise DivautError(f"expression is {expr_level(expr)}-level, not {level}")
+        if level == "conv":
+            return sr, alphabet, lambda word, i, n: conv_coeff(sr, expr, word)
+        series = DivSeries if level == "div" else BidivSeries
 
-        def f(word, i, n):
-            if word not in contexts:
-                contexts[word] = BidivergingBehavior(obj, word, policy)
-            return contexts[word].at(i, n)
-        return obj.semiring, obj.alphabet, f
-
-    sr, alphabet, expr = obj.semiring, obj.alphabet, obj.expr
-    if expr_level(expr) != level:
-        raise DivautError(f"expression is {expr_level(expr)}-level, not {level}")
-    if level == "conv":
-        from .series import conv_coeff
-
-        return sr, alphabet, lambda word, i, n: conv_coeff(sr, expr, word)
-    if level == "div":
-        contexts = {}
-
-        def f(word, i, n):
-            if word not in contexts:
-                contexts[word] = DivSeries(sr, expr, word, chi)
-            return contexts[word].at(n)
-        return sr, alphabet, f
+        def context(word):
+            return series(sr, expr, word, chi)
     contexts = {}
 
     def f(word, i, n):
         if word not in contexts:
-            contexts[word] = BidivSeries(sr, expr, word, chi)
+            contexts[word] = context(word)
+        if level == "div":
+            return contexts[word].at(n)
         return contexts[word].at(i, n)
     return sr, alphabet, f
 
@@ -306,8 +275,7 @@ def cmd_equiv(args):
         words = [parse_word(text, alpha_a) for text in args.word]
     else:
         words = _sample_words(alpha_a, level, args.samples, args.seed)
-    expected_kind = {"conv": FiniteWord, "div": UPInfiniteWord,
-                     "bidiv": BiInfiniteWord}[level]
+    expected_kind = _WORD_KINDS[level]
     for word in words:
         if not isinstance(word, expected_kind):
             raise DivautError(f"word {format_word(word)!r} does not match "
@@ -341,6 +309,8 @@ def cmd_quantum(args):
         _write_output(format_automaton(quantum.build_magnetization()), args.out)
         return
     if args.quantum_command == "correlator":
+        if args.k < 0:
+            raise DivautError(f"--k must be a natural number, got {args.k}")
         _write_output(format_automaton(quantum.build_correlator(args.k)), args.out)
         return
     if args.quantum_command == "expect":

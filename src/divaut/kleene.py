@@ -170,44 +170,30 @@ def extract_conv(aut: Automaton) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# diverging level
+# diverging and bidiverging levels
 
 def compile_div(sr: Semiring, alphabet: Alphabet, e: Expr) -> Automaton:
-    form = to_characteristic(sr, e, "div")
-    out = zero_automaton(sr, alphabet)
-    for left, first, second, right in form.conjoin_terms:
-        glued = conjoin2_automata(_normalized(sr, alphabet, first),
-                                  _normalized(sr, alphabet, second))
-        out = sum_automata(out, scale_automaton(left, glued, right))
-    for left, inner, right in form.iteration_terms:
-        looped = roll(_normalized(sr, alphabet, inner))
-        out = sum_automata(out, scale_automaton(left, looped, right))
-    return out
+    return _compile_form(sr, alphabet, to_characteristic(sr, e, "div"), conjoin2_automata)
+
+
+def compile_bidiv(sr: Semiring, alphabet: Alphabet, e: Expr) -> Automaton:
+    return _compile_form(sr, alphabet, to_characteristic(sr, e, "bidiv"), conjoin3_automata)
 
 
 def extract_div(aut: Automaton) -> Expr:
-    sr = aut.semiring
-    terms = []
-    for left, part, right in decompose_diverging(aut).parts:
-        if part.initial_states() == part.final_states():
-            body = Omega(extract_conv(unroll(part)))
-        else:
-            prelude, cycle = disjoin2(part)
-            body = Conjoin2(extract_conv(prelude), extract_conv(cycle))
-        terms.append(_scale_expr(sr, left, body, right))
-    return make_sum(terms)
+    return _extract_parts(aut, decompose_diverging, Omega, disjoin2, Conjoin2)
 
 
-# ---------------------------------------------------------------------------
-# bidiverging level
+def extract_bidiv(aut: Automaton) -> Expr:
+    return _extract_parts(aut, decompose_bidiverging, Zeta, disjoin3, Conjoin3)
 
-def compile_bidiv(sr: Semiring, alphabet: Alphabet, e: Expr) -> Automaton:
-    form = to_characteristic(sr, e, "bidiv")
+
+def _compile_form(sr, alphabet, form, glue) -> Automaton:
+    """Sum of the scaled conjoin terms, glued by ``glue`` from their
+    normalized operands, and the scaled rolled iteration terms."""
     out = zero_automaton(sr, alphabet)
-    for left, first, middle, second, right in form.conjoin_terms:
-        glued = conjoin3_automata(_normalized(sr, alphabet, first),
-                                  _normalized(sr, alphabet, middle),
-                                  _normalized(sr, alphabet, second))
+    for left, *operands, right in form.conjoin_terms:
+        glued = glue(*(_normalized(sr, alphabet, x) for x in operands))
         out = sum_automata(out, scale_automaton(left, glued, right))
     for left, inner, right in form.iteration_terms:
         looped = roll(_normalized(sr, alphabet, inner))
@@ -215,17 +201,18 @@ def compile_bidiv(sr: Semiring, alphabet: Alphabet, e: Expr) -> Automaton:
     return out
 
 
-def extract_bidiv(aut: Automaton) -> Expr:
+def _extract_parts(aut, decompose, iteration, disjoin, conjoin) -> Expr:
+    """Scaled sum over the decomposition's parts: a loopback part reads back
+    as ``iteration`` of its unrolled body, any other part as ``conjoin`` of
+    the pieces ``disjoin`` splits it into."""
     sr = aut.semiring
     terms = []
-    for left, part, right in decompose_bidiverging(aut).parts:
+    for left, part, right in decompose(aut).parts:
         if part.initial_states() == part.final_states():
-            body = Zeta(extract_conv(unroll(part)))
+            body = iteration(extract_conv(unroll(part)))
         else:
-            head, middle, tail = disjoin3(part)
-            body = Conjoin3(extract_conv(head), extract_conv(middle),
-                            extract_conv(tail))
-        terms.append(_scale_expr(sr, left, body, right))
+            body = conjoin(*(extract_conv(piece) for piece in disjoin(part)))
+        terms.append(make_scale(sr, left, body, right))
     return make_sum(terms)
 
 
@@ -238,11 +225,3 @@ def _normalized(sr, alphabet, e) -> Automaton:
     assert sr.is_zero(dot(sr, compiled.initial, compiled.final)), \
         "proper operand compiled to an empty-word acceptor"
     return normalize(compiled)
-
-
-def _scale_expr(sr, left, e, right) -> Expr:
-    if sr.is_zero(left) or sr.is_zero(right):
-        return ZERO
-    if sr.eq(left, sr.one) and sr.eq(right, sr.one):
-        return e
-    return Scale(left, e, right)

@@ -1,7 +1,9 @@
 """Rational-expression ASTs for converging, diverging, and bidiverging power
-series, plus a direct coefficient oracle that never builds an automaton for
-the weight part (only the acceptance indicators reuse the activation
-machinery, with an optional fully independent horizon scan).
+series, plus a direct coefficient oracle: one window evaluator for both
+infinite levels, with one memo shared by every window of an evaluation
+context.  Only the ``auto``/``exact`` acceptance indicators build an
+automaton; the ``horizon:K`` indicator scans windows through the same memo
+and never builds one.
 """
 from __future__ import annotations
 
@@ -164,12 +166,15 @@ def validate(e: Expr):
 
 
 # ---------------------------------------------------------------------------
-# converging coefficients
+# coefficients on word windows
 
-def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
-    """Coefficient of a finite word, by structural recursion with
-    memoization over (node, slice)."""
-    symbols = word.symbols
+def _window_coeff(sr: Semiring, word):
+    """Returns coeff(node, lo, hi): the coefficient of the converging
+    expression ``node`` on the word positions [lo, hi), by structural
+    recursion memoized over (id(node), lo, hi).  The memo lives as long as
+    the returned function, so callers keep every node they pass alive that
+    long."""
+    char_at = word.char_at
     memo = {}
 
     def go(node, lo, hi):
@@ -177,7 +182,7 @@ def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
         if key in memo:
             return memo[key]
         if isinstance(node, Atom):
-            if hi - lo == 1 and symbols[lo] == node.symbol:
+            if hi - lo == 1 and char_at(lo) == node.symbol:
                 out = sr.check(node.coeff)
             else:
                 out = sr.zero
@@ -203,131 +208,118 @@ def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
         memo[key] = out
         return out
 
-    return go(e, 0, len(symbols))
+    return go
 
 
-# ---------------------------------------------------------------------------
-# acceptance indicators
-
-def chi_forward(sr: Semiring, tester: Expr, word: UPInfiniteWord,
-                policy: ActivationPolicy = AUTO) -> bool:
-    """Is tester(w[0..n]) non-zero for arbitrarily large n?
-
-    With an exact/auto policy the tester is compiled to an automaton and the
-    activation machinery decides; with a horizon policy the expression is
-    evaluated directly, which keeps the two routes independent.
-    """
-    if policy.kind == "horizon":
-        bound = policy.horizon
-        for n in range(bound // 2 + 1, bound + 1):
-            if not sr.is_zero(conv_coeff(sr, tester, word.slice(0, n))):
-                return True
-        return False
-    from .kleene import compile_conv
-
-    aut = compile_conv(sr, word.alphabet, tester)
-    return bool(_decide(aut, word, policy, [aut.initial], [aut.final])[1][0])
-
-
-def chi_twoway(sr: Semiring, tester: Expr, word: BiInfiniteWord,
-               policy: ActivationPolicy = AUTO) -> bool:
-    """Does every window extend to one where the tester is non-zero?"""
-    if policy.kind == "horizon":
-        bound = policy.horizon
-        half = max(1, bound // 2)
-        lo0, hi0 = -half, len(word.center) + half
-        for lo in range(lo0, -bound - 1, -1):
-            for hi in range(hi0, len(word.center) + bound + 1):
-                value = conv_coeff(sr, tester, word.slice(lo + word.origin,
-                                                          hi + word.origin))
-                if not sr.is_zero(value):
-                    return True
-        return False
-    from .kleene import compile_conv
-
-    aut = compile_conv(sr, word.alphabet, tester)
-    return bool(_decide(aut, word, policy, [aut.initial], [aut.final])[1][0])
+def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
+    """Coefficient of a finite word."""
+    return _window_coeff(sr, word)(e, 0, len(word))
 
 
 # ---------------------------------------------------------------------------
 # diverging / bidiverging coefficients
 
-class DivSeries:
-    """Evaluation context caching acceptance indicators per leaf."""
+def _tester(leaf: Expr) -> Expr:
+    """The converging expression whose coefficient on a window is the
+    leaf's value there, once its acceptance indicator holds."""
+    if isinstance(leaf, (Omega, Zeta)):
+        return Star(leaf.inner)
+    if isinstance(leaf, Conjoin2):
+        return Cat(leaf.first, Star(leaf.second))
+    return Cat(Star(leaf.first), Cat(leaf.middle, Star(leaf.second)))
 
-    def __init__(self, sr: Semiring, e: Expr, word: UPInfiniteWord,
-                 chi: ActivationPolicy = AUTO):
+
+class _OracleSeries:
+    """Evaluation context shared by both levels: a one-sided value is the
+    two-sided window that starts at 0.  ``_value(start, n)`` distributes
+    sums and scales over the leaves (of the subclass's ``_leaves`` types);
+    each leaf's tester and indicator are built once, keyed by identity, and
+    one memo over absolute word positions serves every window."""
+
+    def __init__(self, sr: Semiring, e: Expr, word, chi: ActivationPolicy = AUTO):
         validate(e)
         self.semiring = sr
         self.expr = e
         self.word = word
         self.chi_policy = chi
-        self._chi_cache = {}
+        self._coeff = _window_coeff(sr, word)
+        self._testers = {}  # id(leaf) -> (tester, indicator)
+
+    def _value(self, start: int, n: int):
+        if n < 0:
+            raise IndexError("window length must be a natural number")
+        return self._eval(self.expr, start, start + n)
+
+    def _eval(self, node, lo, hi):
+        sr = self.semiring
+        if isinstance(node, Sum):
+            return sr.sum(self._eval(t, lo, hi) for t in node.terms)
+        if isinstance(node, Scale):
+            return sr.mul(sr.mul(sr.check(node.left_coeff),
+                                 self._eval(node.inner, lo, hi)),
+                          sr.check(node.right_coeff))
+        if not isinstance(node, self._leaves):
+            raise TypeError(f"not a {self._kind} expression: {node!r}")
+        if id(node) not in self._testers:
+            tester = _tester(node)
+            self._testers[id(node)] = (tester, self._chi(tester))
+        tester, live = self._testers[id(node)]
+        return self._coeff(tester, lo, hi) if live else sr.zero
 
     def _chi(self, tester: Expr) -> bool:
-        if tester not in self._chi_cache:
-            self._chi_cache[tester] = chi_forward(self.semiring, tester,
-                                                  self.word, self.chi_policy)
-        return self._chi_cache[tester]
+        """Is the tester non-zero on windows that grow without bound?
+
+        With an exact/auto policy the tester is compiled to an automaton and
+        the activation machinery decides; with a horizon policy the windows
+        are evaluated directly, which keeps the two routes independent.
+        """
+        sr, policy = self.semiring, self.chi_policy
+        if policy.kind == "horizon":
+            return any(not sr.is_zero(self._coeff(tester, lo, hi))
+                       for lo, hi in self._horizon_windows(policy.horizon))
+        from .kleene import compile_conv
+
+        aut = compile_conv(sr, self.word.alphabet, tester)
+        return bool(_decide(aut, self.word, policy, [aut.initial], [aut.final])[1][0])
+
+
+class DivSeries(_OracleSeries):
+    """Evaluation context for one (diverging expression, infinite word) pair.
+
+    Each class defines its own ``at`` (perfbench/spans.py wraps it per
+    class).
+    """
+
+    _leaves = (Omega, Conjoin2)
+    _kind = "diverging"
 
     def at(self, n: int):
-        return self._eval(self.expr, n)
+        return self._value(0, n)
 
-    def _eval(self, node, n):
-        sr = self.semiring
-        if isinstance(node, Sum):
-            return sr.sum(self._eval(t, n) for t in node.terms)
-        if isinstance(node, Scale):
-            return sr.mul(sr.mul(sr.check(node.left_coeff),
-                                 self._eval(node.inner, n)),
-                          sr.check(node.right_coeff))
-        if isinstance(node, Omega):
-            tester = Star(node.inner)
-        elif isinstance(node, Conjoin2):
-            tester = Cat(node.first, Star(node.second))
-        else:
-            raise TypeError(f"not a diverging expression: {node!r}")
-        if not self._chi(tester):
-            return sr.zero
-        return conv_coeff(sr, tester, self.word.slice(0, n))
+    def _horizon_windows(self, bound):
+        """Prefixes of length (K/2, K]."""
+        return ((0, n) for n in range(bound // 2 + 1, bound + 1))
 
 
-class BidivSeries:
-    def __init__(self, sr: Semiring, e: Expr, word: BiInfiniteWord,
-                 chi: ActivationPolicy = AUTO):
-        validate(e)
-        self.semiring = sr
-        self.expr = e
-        self.word = word
-        self.chi_policy = chi
-        self._chi_cache = {}
+class BidivSeries(_OracleSeries):
+    """Evaluation context for one (bidiverging expression, biinfinite word)
+    pair."""
 
-    def _chi(self, tester: Expr) -> bool:
-        if tester not in self._chi_cache:
-            self._chi_cache[tester] = chi_twoway(self.semiring, tester,
-                                                 self.word, self.chi_policy)
-        return self._chi_cache[tester]
+    _leaves = (Zeta, Conjoin3)
+    _kind = "bidiverging"
 
     def at(self, i: int, n: int):
-        return self._eval(self.expr, i, n)
+        return self._value(i, n)
 
-    def _eval(self, node, i, n):
-        sr = self.semiring
-        if isinstance(node, Sum):
-            return sr.sum(self._eval(t, i, n) for t in node.terms)
-        if isinstance(node, Scale):
-            return sr.mul(sr.mul(sr.check(node.left_coeff),
-                                 self._eval(node.inner, i, n)),
-                          sr.check(node.right_coeff))
-        if isinstance(node, Zeta):
-            tester = Star(node.inner)
-        elif isinstance(node, Conjoin3):
-            tester = Cat(Star(node.first), Cat(node.middle, Star(node.second)))
-        else:
-            raise TypeError(f"not a bidiverging expression: {node!r}")
-        if not self._chi(tester):
-            return sr.zero
-        return conv_coeff(sr, tester, self.word.slice(i, i + n))
+    def _horizon_windows(self, bound):
+        """Windows that reach [K/2, K] positions beyond the center on each
+        side."""
+        word = self.word
+        half = max(1, bound // 2)
+        end = len(word.center)
+        return ((word.origin + lo, word.origin + hi)
+                for lo in range(-half, -bound - 1, -1)
+                for hi in range(end + half, end + bound + 1))
 
 
 def div_coeff(sr: Semiring, e: Expr, word: UPInfiniteWord, n: int,

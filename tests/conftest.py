@@ -65,7 +65,8 @@ def bi_word(left, center, right, alphabet=AB):
 def enumerate_path_weight(aut: Automaton, word: FiniteWord):
     """Brute-force oracle: sum over every state sequence of the product of
     initial weight, transition weights, and final weight.  Exponential; only
-    for cross-checking the matrix-product evaluation."""
+    for cross-checking the matrix-product evaluation.  Zero is absorbing, so
+    a sequence stops being multiplied once its running product is zero."""
     require_same_alphabet(aut.alphabet, word.alphabet)
     sr = aut.semiring
     total = sr.zero
@@ -73,9 +74,11 @@ def enumerate_path_weight(aut: Automaton, word: FiniteWord):
     for path in itertools.product(states, repeat=len(word) + 1):
         w = aut.initial[path[0]]
         for i, symbol in enumerate(word):
+            if sr.is_zero(w):
+                break
             w = sr.mul(w, aut.matrix(symbol)[path[i]][path[i + 1]])
-        w = sr.mul(w, aut.final[path[-1]])
-        total = sr.add(total, w)
+        else:
+            total = sr.add(total, sr.mul(w, aut.final[path[-1]]))
     return total
 
 

@@ -165,6 +165,25 @@ def test_eval_expression_with_chi_horizon(tmp_path, capsys):
     assert [line.split("\t")[1] for line in out.strip().splitlines()] == ["T"] * 4
 
 
+BIDIV_EXPR = ("semiring: natural\nalphabet: [a, b]\n"
+              "expr: sum(zeta(sum(sym(a, 1), sym(b, 1))), "
+              "scale(3, conjoin3(sym(a, 1), sym(b, 2), sym(a, 1)), 1))\n")
+
+
+def test_eval_bidiv_expression_matches_compiled_automaton(tmp_path, capsys):
+    expr_file = tmp_path / "bi.expr"
+    expr_file.write_text(BIDIV_EXPR)
+    compiled = tmp_path / "bi.aut"
+    assert run(capsys, "from-rational", str(expr_file), "--out", str(compiled))[0] == 0
+    tables = [run(capsys, "eval", str(path), "--word", "( a )^~w . b . ( a )^w",
+                  "--i", "-2", "--n-max", "6")
+              for path in (expr_file, compiled)]
+    assert tables[0] == tables[1]
+    code, out, err = tables[0]
+    assert (code, err) == (0, "")
+    assert out == "0\t1\n1\t1\n2\t1\n3\t7\n4\t7\n5\t7\n6\t7\n"
+
+
 def test_eval_malformed_file_is_parse_error(tmp_path, capsys):
     f = tmp_path / "broken.aut"
     f.write_text("semiring: natural\nalphabet: [a\nstates: [x]\n")
@@ -316,6 +335,22 @@ def test_equiv_reports_witness(tmp_path, capsys):
     assert "disagree" in out
 
 
+@pytest.mark.parametrize("level, text", [
+    ("bidiv", BIDIV_EXPR),
+    ("conv", "semiring: rational\nalphabet: [a, b]\n"
+             "expr: sum(cat(star(sym(a, 1/2)), sym(b, -3)), star(sym(b, 2)))\n"),
+])
+def test_equiv_expression_vs_compiled_automaton(tmp_path, capsys, level, text):
+    expr_file = tmp_path / "e.expr"
+    expr_file.write_text(text)
+    compiled = tmp_path / "e.aut"
+    assert run(capsys, "from-rational", str(expr_file), "--out", str(compiled))[0] == 0
+    code, out, err = run(capsys, "equiv", str(expr_file), str(compiled),
+                         "--level", level, "--samples", "8", "--n-max", "6")
+    assert (code, err) == (0, "")
+    assert out == "agree on all samples (8 words; semi-decision only)\n"
+
+
 def test_equiv_semiring_mismatch(tmp_path, capsys):
     f = write_figure_two(tmp_path / "a2.aut")
     g = write_figure_one(tmp_path / "a1.aut")
@@ -363,6 +398,12 @@ def test_quantum_correlator_table(tmp_path, capsys):
     assert code == 0
     ratios = [line.split("\t")[3] for line in out.strip().splitlines()]
     assert ratios == ["0", "0", "0", "1", "2", "3"]
+
+
+def test_quantum_correlator_rejects_negative_distance(capsys):
+    code, out, err = run(capsys, "quantum", "correlator", "--k", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--k" in err
 
 
 def test_quantum_hs_rate(capsys):

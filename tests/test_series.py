@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from divaut.activation import horizon
+import divaut.kleene
+import divaut.series
+from divaut.activation import AUTO, horizon
 from divaut.errors import ImproperStar
 from divaut.semiring import BOOLEAN, NATURAL, RATIONAL
 from divaut.series import (
@@ -201,6 +203,72 @@ def test_bidiv_chi_horizon_route_matches_exact():
         for i in (-2, 0, 1):
             for n in range(6):
                 assert exact.at(i, n) == scanned.at(i, n)
+
+
+# ---------------------------------------------------------------------------
+# one window oracle for both levels
+
+def window_dependent_exprs(c):
+    """A diverging and a bidiverging expression whose values depend on the
+    window start and length on the words of the test below; ``c`` maps a
+    small natural number to a coefficient."""
+    a, b = Atom("a", c(2)), Atom("b", c(3))
+    div = Sum((Omega(Sum((a, b))),
+               Scale(c(2), Conjoin2(Cat(Atom("b", c(1)), a),
+                                    Sum((a, Cat(a, b)))), c(1))))
+    bidiv = Sum((Zeta(Sum((a, b))),
+                 Conjoin3(Sum((a, b)), Cat(Atom("b", c(5)), a), Atom("a", c(1)))))
+    return div, bidiv
+
+
+@pytest.mark.parametrize("chi", [AUTO, horizon(16)], ids=["auto", "horizon16"])
+def test_interleaved_queries_match_fresh_series(chi):
+    starts = (0, -3, 2, -1, 3, 1, -2)
+    up, bi = up_word("ba", "ab"), bi_word("ab", "ba", "a")
+    for sr, c in ((BOOLEAN, lambda k: True), (NATURAL, lambda k: k),
+                  (RATIONAL, lambda k: Fraction(-k, 2))):
+        div_expr, bidiv_expr = window_dependent_exprs(c)
+        div = DivSeries(sr, div_expr, up, chi)
+        bidiv = BidivSeries(sr, bidiv_expr, bi, chi)
+        for n in range(8, -1, -1):
+            assert div.at(n) == DivSeries(sr, div_expr, up, chi).at(n)
+            for i in starts:
+                assert bidiv.at(i, n) == BidivSeries(sr, bidiv_expr, bi, chi).at(i, n)
+
+
+def test_horizon_indicator_needs_no_automaton(monkeypatch):
+    div_expr = Sum((Omega(Atom("a", 1)), Conjoin2(Atom("b", 1), Atom("a", 1))))
+    bidiv_expr = Sum((Zeta(Atom("a", 1)),
+                      Conjoin3(Atom("a", 1), Atom("b", 2), Atom("a", 1))))
+    cases = [(up_word("b", "a"), up_word([], "a"), up_word("ab", "a")),
+             (bi_word("a", "b", "a"), bi_word("a", "", "a"), bi_word("b", "", "a"))]
+
+    def tables(chi):
+        div = [DivSeries(NATURAL, div_expr, w, chi) for w in cases[0]]
+        bidiv = [BidivSeries(NATURAL, bidiv_expr, w, chi) for w in cases[1]]
+        return ([[s.at(n) for n in range(6)] for s in div],
+                [[s.at(i, n) for i in (-2, 0, 1) for n in range(6)] for s in bidiv])
+
+    expected = tables(AUTO)
+
+    class Refused(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Refused
+
+    monkeypatch.setattr(divaut.kleene, "compile_conv", refuse)
+    monkeypatch.setattr(divaut.series, "_decide", refuse)
+    with pytest.raises(Refused):
+        tables(AUTO)
+    assert tables(horizon(16)) == expected
+
+
+def test_series_rejects_leaves_of_the_other_level():
+    with pytest.raises(TypeError):
+        DivSeries(NATURAL, Zeta(Atom("a", 1)), up_word([], "a")).at(0)
+    with pytest.raises(TypeError):
+        BidivSeries(NATURAL, Sum((Omega(Atom("a", 1)),)), bi_word("a", "", "a")).at(0, 1)
 
 
 # ---------------------------------------------------------------------------
