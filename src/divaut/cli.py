@@ -73,6 +73,11 @@ def _write_file(path: str, text: str):
         raise DivautError(f"cannot write {path}: {exc}") from None
 
 
+def _at_least(flag: str, value: int, low: int):
+    if value < low:
+        raise DivautError(f"{flag} must be at least {low}, got {value}")
+
+
 def _load_any(path: str):
     text = _read(path)
     if detect_kind(text) == "automaton":
@@ -109,6 +114,7 @@ _WORD_NEEDED = {"conv": "a converging expression needs a finite word",
 
 
 def cmd_eval(args):
+    _at_least("--n-max", args.n_max, 0)
     obj = _load_any(args.file)
     policy = _policy(args.activation)
     chi = _policy(args.chi)
@@ -168,7 +174,10 @@ def cmd_decompose(args):
     decompose = decompose_diverging if args.level == "div" else decompose_bidiverging
     parts = decompose(aut).parts
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DivautError(f"cannot create {out_dir}: {exc}") from None
     sr = aut.semiring
     manifest = []
     for idx, (left, part, right) in enumerate(parts):
@@ -261,6 +270,9 @@ def _evaluator(obj, level, policy, chi):
 
 
 def cmd_equiv(args):
+    _at_least("--n-max", args.n_max, 0)
+    _at_least("--i-range", args.i_range, 0)
+    _at_least("--samples", args.samples, 1)
     first = _load_any(args.a)
     second = _load_any(args.b)
     policy = _policy(args.activation)
@@ -309,8 +321,7 @@ def cmd_quantum(args):
         _write_output(format_automaton(quantum.build_magnetization()), args.out)
         return
     if args.quantum_command == "correlator":
-        if args.k < 0:
-            raise DivautError(f"--k must be a natural number, got {args.k}")
+        _at_least("--k", args.k, 0)
         _write_output(format_automaton(quantum.build_correlator(args.k)), args.out)
         return
     if args.quantum_command == "expect":
@@ -346,8 +357,9 @@ def _parse_hs_terms(text: str):
 def _print_expect_table(ev, n_max: int, rate_at):
     from .semiring import GAUSSIAN
 
-    if rate_at is not None and rate_at < 1:
-        raise DivautError(f"--rate-at must be at least 1, got {rate_at}")
+    _at_least("--n", n_max, 0)
+    if rate_at is not None:
+        _at_least("--rate-at", rate_at, 1)
     rows = []
     for n in range(n_max + 1):
         numerator, denominator, ratio = ev.row(n)

@@ -3,10 +3,19 @@
 One human-readable format each, with deterministic serialization (states in
 id order, transitions sorted) so emitted files are byte-stable and every
 emitted file re-parses to a semantically equal object.
+
+Both formats are read by one reader: a file is a sequence of ``key: value``
+sections, each key at most once and after the sections its value needs.
+Lists are ``[...]``, weight maps and transitions ``{...}``, expression
+arguments ``(...)``; a comma may follow each item and is never required.
+Every white space character separates tokens, and ``#`` starts a comment
+that runs to the end of the line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections import namedtuple
+from dataclasses import dataclass, fields
 
 from .automaton import Automaton
 from .errors import DivautParseError
@@ -22,241 +31,253 @@ from .series import (
     Star,
     Sum,
     Zeta,
+    expr_level,
 )
 from .words import Alphabet
 
-_PUNCT = set("[]{}:,()")
+Token = namedtuple("Token", "text line column is_word")
 
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    column: int
-    is_word: bool
+# newline, other white space, comment, punctuation, word: every character
+# starts a match of one of them, so the scan never stalls
+_TOKEN = re.compile(r"(\n)|([^\S\n]+)|(#[^\n]*)|([\[\]{}:,()])|([^\s#\[\]{}:,()]+)")
+_NEWLINE, _PUNCT, _WORD = 1, 4, 5
 
 
 def tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    """Yields the punctuation and word tokens of ``text``, lazily."""
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        if kind == _NEWLINE:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, line, col, False))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < len(text) and text[i] not in _PUNCT and not text[i].isspace() \
-                and text[i] != "#":
-            i += 1
-            col += 1
-        tokens.append(Token(text[start:i], line, start_col, True))
-    return tokens
+            line_start = match.end()
+        elif kind >= _PUNCT:
+            yield Token(match.group(), line, match.start() - line_start + 1,
+                        kind == _WORD)
 
 
-class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+# The expression syntax: one head per node class.  A node's arguments are
+# its dataclass fields in order, read and written by their annotation
+# (strings, as series.py postpones annotations): "Expr" a subexpression,
+# "str" a symbol, "object" a coefficient, "tuple" any number of
+# subexpressions.
+_HEADS = {"sym": Atom, "sum": Sum, "cat": Cat, "star": Star, "scale": Scale,
+          "omega": Omega, "conjoin": Conjoin2, "zeta": Zeta, "conjoin3": Conjoin3}
+_HEAD_OF = {cls: head for head, cls in _HEADS.items()}
+_ARGS = {cls: tuple((f.name, f.type) for f in fields(cls)) for cls in _HEAD_OF}
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+class _Reader:
+    """Recursive descent over ``tokenize(text)`` with one token of lookahead
+    (``tok``, None at the end of the input)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.tok = next(self.tokens, None)
+
+    def error(self, message, tok=None):
+        """A parse error at ``tok``, or at the end of the input."""
+        if tok is None:
+            return DivautParseError(message, self.text.count("\n") + 1,
+                                    len(self.text) - self.text.rfind("\n"))
+        return DivautParseError(message, tok.line, tok.column)
+
+    def at(self, text) -> bool:
+        return self.tok is not None and self.tok.text == text
 
     def next(self, expect=None):
-        tok = self.peek()
+        tok = self.tok
         if tok is None:
-            raise DivautParseError("unexpected end of input")
+            raise self.error("unexpected end of input")
         if expect is not None and tok.text != expect:
-            raise DivautParseError(f"expected {expect!r}, found {tok.text!r}",
-                                   tok.line, tok.column)
-        self.pos += 1
+            raise self.error(f"expected {expect!r}, found {tok.text!r}", tok)
+        self.tok = next(self.tokens, None)
         return tok
 
     def word(self, what="name"):
         tok = self.next()
         if not tok.is_word:
-            raise DivautParseError(f"expected {what}, found {tok.text!r}",
-                                   tok.line, tok.column)
+            raise self.error(f"expected {what}, found {tok.text!r}", tok)
         return tok
 
-    def done(self):
-        tok = self.peek()
-        if tok is not None:
-            raise DivautParseError(f"unexpected trailing {tok.text!r}",
-                                   tok.line, tok.column)
+    def comma(self):
+        """Skips the comma that may follow an item."""
+        if self.at(","):
+            self.next()
+
+    def items(self, open_, close, item):
+        """The list ``open_ item item ... close``."""
+        self.next(open_)
+        out = []
+        while not self.at(close):
+            out.append(item())
+            self.comma()
+        self.next(close)
+        return out
+
+    def sections(self, table, required):
+        """Reads ``key: value`` sections to the end of the input and returns
+        the values by key.  ``table`` maps each key to the keys that must
+        come before it and to ``read(reader, values)``, which reads its
+        value given the values read so far."""
+        values = {}
+        while self.tok is not None:
+            key = self.word("section name")
+            if key.text not in table:
+                raise self.error(f"unknown section {key.text!r}", key)
+            if key.text in values:
+                raise self.error(f"duplicate section {key.text!r}", key)
+            after, read = table[key.text]
+            if not all(need in values for need in after):
+                raise self.error(f"{key.text} must follow {', '.join(after)}", key)
+            self.next(":")
+            try:
+                values[key.text] = read(self, values)
+            except ValueError as exc:  # well-formed, but not a valid value
+                raise self.error(str(exc), key) from None
+        if not all(need in values for need in required):
+            raise DivautParseError(f"file needs {', '.join(required)} sections")
+        return values
+
+    def parsed(self, parse, tok):
+        """``parse(tok.text)``, its parse errors placed at ``tok``."""
+        try:
+            return parse(tok.text)
+        except DivautParseError as exc:
+            raise self.error(str(exc), tok) from None
+
+    def state(self, state_index, tok):
+        if tok.text not in state_index:
+            raise self.error(f"unknown state {tok.text!r}", tok)
+        return state_index[tok.text]
+
+    def symbol(self, alphabet: Alphabet, tok):
+        if tok.text not in alphabet:
+            raise self.error(f"symbol {tok.text!r} not in alphabet", tok)
+        return tok.text
+
+    def names(self):
+        return [tok.text for tok in self.items("[", "]", self.word)]
+
+    def expr(self, sr: Semiring, alphabet: Alphabet) -> Expr:
+        head = self.word("expression")
+        if head.text not in _HEADS:
+            raise self.error(f"unknown expression head {head.text!r}", head)
+        cls = _HEADS[head.text]
+        if cls is Sum:
+            return Sum(tuple(self.items("(", ")", lambda: self.expr(sr, alphabet))))
+        self.next("(")
+        args = []
+        for _, kind in _ARGS[cls]:
+            if kind == "Expr":
+                args.append(self.expr(sr, alphabet))
+            elif kind == "str":
+                args.append(self.symbol(alphabet, self.word("symbol")))
+            else:
+                args.append(self.parsed(sr.parse, self.word("coefficient")))
+            self.comma()
+        self.next(")")
+        return cls(*args)
 
 
-def _parse_literal(sr: Semiring, tok: Token):
+# ---------------------------------------------------------------------------
+# sections
+
+def _semiring(reader, values):
+    return reader.parsed(semiring_by_name, reader.word("semiring name"))
+
+
+def _alphabet(reader, values):
+    return Alphabet(tuple(reader.names()))
+
+
+def _states(reader, values):
+    names = reader.names()
+    state_index = {name: i for i, name in enumerate(names)}
+    if len(state_index) != len(names):
+        raise ValueError("duplicate state names")
+    return state_index
+
+
+def _weight_map(reader, values):
+    sr, state_index = values["semiring"], values["states"]
+
+    def entry():
+        state = reader.state(state_index, reader.word("state name"))
+        reader.next(":")
+        return state, reader.parsed(sr.parse, reader.word("weight"))
+    return dict(reader.items("{", "}", entry))
+
+
+def _transitions(reader, values):
+    sr, alphabet, state_index = values["semiring"], values["alphabet"], values["states"]
+
+    def field():
+        key = reader.word("transition field")
+        if key.text not in ("from", "to", "symbol", "weight"):
+            raise reader.error(f"unknown transition field {key.text!r}", key)
+        reader.next(":")
+        return key.text, reader.word("value")
+
+    def transition():
+        brace = reader.tok
+        given = dict(reader.items("{", "}", field))
+        for need in ("from", "to", "symbol"):
+            if need not in given:
+                raise reader.error(f"transition is missing {need!r}", brace)
+        weight = reader.parsed(sr.parse, given["weight"]) if "weight" in given else sr.one
+        return (reader.state(state_index, given["from"]),
+                reader.state(state_index, given["to"]),
+                reader.symbol(alphabet, given["symbol"]), weight)
+    return reader.items("[", "]", transition)
+
+
+def _expr(reader, values):
+    head = reader.tok
+    e = reader.expr(values["semiring"], values["alphabet"])
     try:
-        return sr.parse(tok.text)
-    except DivautParseError as exc:
-        raise DivautParseError(str(exc), tok.line, tok.column) from None
+        expr_level(e)
+    except TypeError as exc:  # the expression mixes series levels
+        raise reader.error(str(exc), head) from None
+    return e
 
 
-def _parse_name_list(stream: _Stream):
-    stream.next("[")
-    names = []
-    while True:
-        tok = stream.peek()
-        if tok is not None and tok.text == "]":
-            stream.next()
-            return names
-        names.append(stream.word("name").text)
-        tok = stream.peek()
-        if tok is not None and tok.text == ",":
-            stream.next()
-        elif tok is not None and tok.text == "]":
-            stream.next()
-            return names
-        else:
-            where = tok or Token("", 0, 0, False)
-            raise DivautParseError("expected ',' or ']' in list",
-                                   where.line, where.column)
+_AUTOMATON_SECTIONS = {
+    "semiring": ((), _semiring),
+    "alphabet": ((), _alphabet),
+    "states": ((), _states),
+    "initial": (("semiring", "states"), _weight_map),
+    "final": (("semiring", "states"), _weight_map),
+    "transitions": (("semiring", "alphabet", "states"), _transitions),
+}
+_EXPRESSION_SECTIONS = {
+    "semiring": ((), _semiring),
+    "alphabet": ((), _alphabet),
+    "expr": (("semiring", "alphabet"), _expr),
+}
 
 
-def _parse_weight_map(stream: _Stream, sr: Semiring, state_index: dict):
-    stream.next("{")
-    out = {}
-    while True:
-        tok = stream.peek()
-        if tok is not None and tok.text == "}":
-            stream.next()
-            return out
-        name_tok = stream.word("state name")
-        if name_tok.text not in state_index:
-            raise DivautParseError(f"unknown state {name_tok.text!r}",
-                                   name_tok.line, name_tok.column)
-        stream.next(":")
-        out[state_index[name_tok.text]] = _parse_literal(sr, stream.word("weight"))
-        tok = stream.peek()
-        if tok is not None and tok.text == ",":
-            stream.next()
-
+# ---------------------------------------------------------------------------
+# automaton files
 
 def parse_automaton(text: str) -> Automaton:
-    stream = _Stream(tokenize(text))
-    semiring = None
-    alphabet = None
-    state_names = None
-    state_index = {}
-    initial = {}
-    final = {}
-    edges = []
-    seen = set()
-    while stream.peek() is not None:
-        key_tok = stream.word("section name")
-        key = key_tok.text
-        if key in seen:
-            raise DivautParseError(f"duplicate section {key!r}",
-                                   key_tok.line, key_tok.column)
-        seen.add(key)
-        stream.next(":")
-        if key == "semiring":
-            semiring = semiring_by_name(stream.word("semiring name").text)
-        elif key == "alphabet":
-            try:
-                alphabet = Alphabet(tuple(_parse_name_list(stream)))
-            except ValueError as exc:
-                raise DivautParseError(str(exc), key_tok.line,
-                                       key_tok.column) from None
-        elif key == "states":
-            state_names = _parse_name_list(stream)
-            if len(set(state_names)) != len(state_names):
-                raise DivautParseError("duplicate state names",
-                                       key_tok.line, key_tok.column)
-            state_index = {name: i for i, name in enumerate(state_names)}
-        elif key in ("initial", "final"):
-            if semiring is None or state_names is None:
-                raise DivautParseError(f"{key} must follow semiring and states",
-                                       key_tok.line, key_tok.column)
-            target = initial if key == "initial" else final
-            target.update(_parse_weight_map(stream, semiring, state_index))
-        elif key == "transitions":
-            if semiring is None or alphabet is None or state_names is None:
-                raise DivautParseError(
-                    "transitions must follow semiring, alphabet, and states",
-                    key_tok.line, key_tok.column)
-            stream.next("[")
-            while True:
-                tok = stream.peek()
-                if tok is None:
-                    raise DivautParseError("unterminated transitions list")
-                if tok.text == "]":
-                    stream.next()
-                    break
-                edges.append(_parse_transition(stream, semiring, alphabet,
-                                               state_index))
-                tok = stream.peek()
-                if tok is not None and tok.text == ",":
-                    stream.next()
-        else:
-            raise DivautParseError(f"unknown section {key!r}",
-                                   key_tok.line, key_tok.column)
-    stream.done()
-    if semiring is None or alphabet is None or state_names is None:
-        raise DivautParseError("file needs semiring, alphabet, and states sections")
-    return Automaton.build(semiring, alphabet, len(state_names), initial, final,
-                           edges, state_names=state_names)
+    values = _Reader(text).sections(_AUTOMATON_SECTIONS,
+                                    ("semiring", "alphabet", "states"))
+    states = values["states"]
+    return Automaton.build(values["semiring"], values["alphabet"], len(states),
+                           values.get("initial", {}), values.get("final", {}),
+                           values.get("transitions", []), state_names=list(states))
 
 
-def _parse_transition(stream: _Stream, sr, alphabet, state_index):
-    stream.next("{")
-    fields = {}
-    while True:
-        tok = stream.peek()
-        if tok is not None and tok.text == "}":
-            stream.next()
-            break
-        key_tok = stream.word("transition field")
-        if key_tok.text not in ("from", "to", "symbol", "weight"):
-            raise DivautParseError(f"unknown transition field {key_tok.text!r}",
-                                   key_tok.line, key_tok.column)
-        stream.next(":")
-        fields[key_tok.text] = stream.word("value")
-        tok = stream.peek()
-        if tok is not None and tok.text == ",":
-            stream.next()
-    for need in ("from", "to", "symbol"):
-        if need not in fields:
-            raise DivautParseError(f"transition is missing {need!r}")
-    for endpoint in ("from", "to"):
-        tok = fields[endpoint]
-        if tok.text not in state_index:
-            raise DivautParseError(f"unknown state {tok.text!r}",
-                                   tok.line, tok.column)
-    sym_tok = fields["symbol"]
-    if sym_tok.text not in alphabet:
-        raise DivautParseError(f"symbol {sym_tok.text!r} not in alphabet",
-                               sym_tok.line, sym_tok.column)
-    weight = _parse_literal(sr, fields["weight"]) if "weight" in fields else sr.one
-    return (state_index[fields["from"].text], state_index[fields["to"].text],
-            sym_tok.text, weight)
+def _header(sr: Semiring, alphabet: Alphabet) -> list:
+    return [f"semiring: {sr.name}", f"alphabet: [{', '.join(alphabet.symbols)}]"]
 
 
 def format_automaton(aut: Automaton) -> str:
     sr = aut.semiring
     names = [aut.name_of(i) for i in range(aut.num_states)]
-    lines = [
-        f"semiring: {sr.name}",
-        f"alphabet: [{', '.join(aut.alphabet.symbols)}]",
-        f"states: [{', '.join(names)}]",
-    ]
+    lines = _header(sr, aut.alphabet) + [f"states: [{', '.join(names)}]"]
 
     def weight_map(vec):
         entries = [f"{names[i]}: {sr.format(w)}" for i, w in enumerate(vec)
@@ -280,77 +301,6 @@ def format_automaton(aut: Automaton) -> str:
 # ---------------------------------------------------------------------------
 # expression files
 
-_NULLARY = ()
-_EXPR_HEADS = {"sym", "sum", "cat", "star", "omega", "zeta", "conjoin",
-               "conjoin3", "scale"}
-
-
-def _parse_expr(stream: _Stream, sr: Semiring, alphabet: Alphabet) -> Expr:
-    head_tok = stream.word("expression")
-    head = head_tok.text
-    if head not in _EXPR_HEADS:
-        raise DivautParseError(f"unknown expression head {head!r}",
-                               head_tok.line, head_tok.column)
-    stream.next("(")
-
-    def args_done():
-        tok = stream.peek()
-        return tok is not None and tok.text == ")"
-
-    def comma():
-        stream.next(",")
-
-    if head == "sym":
-        sym_tok = stream.word("symbol")
-        if sym_tok.text not in alphabet:
-            raise DivautParseError(f"symbol {sym_tok.text!r} not in alphabet",
-                                   sym_tok.line, sym_tok.column)
-        comma()
-        coeff = _parse_literal(sr, stream.word("coefficient"))
-        stream.next(")")
-        return Atom(sym_tok.text, coeff)
-    if head == "sum":
-        terms = []
-        if not args_done():
-            terms.append(_parse_expr(stream, sr, alphabet))
-            while not args_done():
-                comma()
-                terms.append(_parse_expr(stream, sr, alphabet))
-        stream.next(")")
-        return Sum(tuple(terms))
-    if head == "scale":
-        left = _parse_literal(sr, stream.word("coefficient"))
-        comma()
-        inner = _parse_expr(stream, sr, alphabet)
-        comma()
-        right = _parse_literal(sr, stream.word("coefficient"))
-        stream.next(")")
-        return Scale(left, inner, right)
-
-    first = _parse_expr(stream, sr, alphabet)
-    if head == "star":
-        stream.next(")")
-        return Star(first)
-    if head == "omega":
-        stream.next(")")
-        return Omega(first)
-    if head == "zeta":
-        stream.next(")")
-        return Zeta(first)
-    comma()
-    second = _parse_expr(stream, sr, alphabet)
-    if head == "cat":
-        stream.next(")")
-        return Cat(first, second)
-    if head == "conjoin":
-        stream.next(")")
-        return Conjoin2(first, second)
-    comma()
-    third = _parse_expr(stream, sr, alphabet)
-    stream.next(")")
-    return Conjoin3(first, second, third)
-
-
 @dataclass(frozen=True)
 class ExpressionFile:
     semiring: Semiring
@@ -359,71 +309,46 @@ class ExpressionFile:
 
 
 def parse_expression_file(text: str) -> ExpressionFile:
-    stream = _Stream(tokenize(text))
-    semiring = None
-    alphabet = None
-    expr = None
-    while stream.peek() is not None:
-        key_tok = stream.word("section name")
-        stream.next(":")
-        if key_tok.text == "semiring":
-            semiring = semiring_by_name(stream.word("semiring name").text)
-        elif key_tok.text == "alphabet":
-            try:
-                alphabet = Alphabet(tuple(_parse_name_list(stream)))
-            except ValueError as exc:
-                raise DivautParseError(str(exc), key_tok.line,
-                                       key_tok.column) from None
-        elif key_tok.text == "expr":
-            if semiring is None or alphabet is None:
-                raise DivautParseError("expr must follow semiring and alphabet",
-                                       key_tok.line, key_tok.column)
-            expr = _parse_expr(stream, semiring, alphabet)
-        else:
-            raise DivautParseError(f"unknown section {key_tok.text!r}",
-                                   key_tok.line, key_tok.column)
-    stream.done()
-    if semiring is None or alphabet is None or expr is None:
-        raise DivautParseError("file needs semiring, alphabet, and expr sections")
-    return ExpressionFile(semiring, alphabet, expr)
+    values = _Reader(text).sections(_EXPRESSION_SECTIONS,
+                                    ("semiring", "alphabet", "expr"))
+    return ExpressionFile(values["semiring"], values["alphabet"], values["expr"])
 
 
 def format_expr(sr: Semiring, e: Expr) -> str:
-    if isinstance(e, Atom):
-        return f"sym({e.symbol}, {sr.format(sr.check(e.coeff))})"
-    if isinstance(e, Sum):
-        return f"sum({', '.join(format_expr(sr, t) for t in e.terms)})"
-    if isinstance(e, Cat):
-        return f"cat({format_expr(sr, e.left)}, {format_expr(sr, e.right)})"
-    if isinstance(e, Star):
-        return f"star({format_expr(sr, e.inner)})"
-    if isinstance(e, Scale):
-        return (f"scale({sr.format(sr.check(e.left_coeff))}, "
-                f"{format_expr(sr, e.inner)}, "
-                f"{sr.format(sr.check(e.right_coeff))})")
-    if isinstance(e, Omega):
-        return f"omega({format_expr(sr, e.inner)})"
-    if isinstance(e, Zeta):
-        return f"zeta({format_expr(sr, e.inner)})"
-    if isinstance(e, Conjoin2):
-        return f"conjoin({format_expr(sr, e.first)}, {format_expr(sr, e.second)})"
-    if isinstance(e, Conjoin3):
-        return (f"conjoin3({format_expr(sr, e.first)}, "
-                f"{format_expr(sr, e.middle)}, {format_expr(sr, e.second)})")
-    raise TypeError(f"not a series expression: {e!r}")
+    if type(e) not in _HEAD_OF:
+        raise TypeError(f"not a series expression: {e!r}")
+    args = (_format_arg(sr, kind, getattr(e, name)) for name, kind in _ARGS[type(e)])
+    return f"{_HEAD_OF[type(e)]}({', '.join(args)})"
+
+
+def _format_arg(sr: Semiring, kind: str, value) -> str:
+    if kind == "Expr":
+        return format_expr(sr, value)
+    if kind == "tuple":
+        return ", ".join(format_expr(sr, t) for t in value)
+    if kind == "str":
+        return value
+    return sr.format(sr.check(value))
 
 
 def format_expression_file(sr: Semiring, alphabet: Alphabet, e: Expr) -> str:
-    return (f"semiring: {sr.name}\n"
-            f"alphabet: [{', '.join(alphabet.symbols)}]\n"
-            f"expr: {format_expr(sr, e)}\n")
+    return "\n".join(_header(sr, alphabet) + [f"expr: {format_expr(sr, e)}"]) + "\n"
+
+
+_KINDS = {"states": "automaton", "expr": "expression"}
 
 
 def detect_kind(text: str) -> str:
-    """'automaton' or 'expression', by which sections appear."""
+    """'automaton' or 'expression', by whether a ``states`` or an ``expr``
+    section comes first.  A section key is a word at bracket depth 0 that
+    is followed by ':'."""
+    depth, prev = 0, None
     for tok in tokenize(text):
-        if tok.is_word and tok.text == "states":
-            return "automaton"
-        if tok.is_word and tok.text == "expr":
-            return "expression"
+        if tok.text in "([{":
+            depth += 1
+        elif tok.text in ")]}":
+            depth -= 1
+        elif tok.text == ":" and depth == 0 and prev in _KINDS:
+            return _KINDS[prev]
+        prev = tok.text
     raise DivautParseError("file has neither a states nor an expr section")

@@ -7,7 +7,7 @@ and never builds one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .activation import AUTO, ActivationPolicy, _decide
 from .errors import ImproperStar
@@ -100,14 +100,18 @@ def is_proper(e: Expr) -> bool:
     raise TypeError(f"not a converging expression: {e!r}")
 
 
+_NODE_LEVEL = {Atom: "conv", Cat: "conv", Star: "conv", Omega: "div",
+               Conjoin2: "div", Zeta: "bidiv", Conjoin3: "bidiv"}
+
+
 def expr_level(e: Expr) -> str:
-    """'conv', 'div', or 'bidiv'; sums and scales take their operands' level."""
-    if isinstance(e, (Atom, Cat, Star)):
-        return "conv"
-    if isinstance(e, (Omega, Conjoin2)):
-        return "div"
-    if isinstance(e, (Zeta, Conjoin3)):
-        return "bidiv"
+    """'conv', 'div', or 'bidiv'; sums and scales take their operands' level.
+    Raises TypeError unless every operand of every other node is converging."""
+    if type(e) in _NODE_LEVEL:
+        for f in fields(e):
+            if f.type == "Expr" and expr_level(getattr(e, f.name)) != "conv":
+                raise TypeError(f"{type(e).__name__} needs converging operands")
+        return _NODE_LEVEL[type(e)]
     if isinstance(e, Scale):
         return expr_level(e.inner)
     if isinstance(e, Sum):
@@ -171,11 +175,19 @@ def validate(e: Expr):
 def _window_coeff(sr: Semiring, word):
     """Returns coeff(node, lo, hi): the coefficient of the converging
     expression ``node`` on the word positions [lo, hi), by structural
-    recursion memoized over (id(node), lo, hi).  The memo lives as long as
+    recursion memoized over (id(node), lo, hi); ``node`` has passed
+    ``validate``, so every star operand is proper.  The memo lives as long as
     the returned function, so callers keep every node they pass alive that
     long."""
     char_at = word.char_at
     memo = {}
+
+    def splits(left, right, lo, cuts, hi):
+        """The sum over cuts k of coeff(left, lo, k) * coeff(right, k, hi);
+        the right factor is not evaluated where the left one is zero."""
+        heads = ((k, go(left, lo, k)) for k in cuts)
+        return sr.sum(sr.mul(head, go(right, k, hi))
+                      for k, head in heads if not sr.is_zero(head))
 
     def go(node, lo, hi):
         key = (id(node), lo, hi)
@@ -189,17 +201,11 @@ def _window_coeff(sr: Semiring, word):
         elif isinstance(node, Sum):
             out = sr.sum(go(t, lo, hi) for t in node.terms)
         elif isinstance(node, Cat):
-            out = sr.sum(sr.mul(go(node.left, lo, k), go(node.right, k, hi))
-                         for k in range(lo, hi + 1))
+            out = splits(node.left, node.right, lo, range(lo, hi + 1), hi)
         elif isinstance(node, Star):
-            if not is_proper(node.inner):
-                raise ImproperStar("star needs a proper operand")
-            if lo == hi:
-                out = sr.one
-            else:
-                # first block non-empty, so the recursion shrinks
-                out = sr.sum(sr.mul(go(node.inner, lo, k), go(node, k, hi))
-                             for k in range(lo + 1, hi + 1))
+            # first block non-empty, so the recursion shrinks
+            out = sr.one if lo == hi else splits(node.inner, node, lo,
+                                                 range(lo + 1, hi + 1), hi)
         elif isinstance(node, Scale):
             out = sr.mul(sr.mul(sr.check(node.left_coeff), go(node.inner, lo, hi)),
                          sr.check(node.right_coeff))
@@ -213,6 +219,9 @@ def _window_coeff(sr: Semiring, word):
 
 def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
     """Coefficient of a finite word."""
+    validate(e)
+    if expr_level(e) != "conv":
+        raise TypeError(f"not a converging expression: {e!r}")
     return _window_coeff(sr, word)(e, 0, len(word))
 
 
@@ -238,6 +247,7 @@ class _OracleSeries:
 
     def __init__(self, sr: Semiring, e: Expr, word, chi: ActivationPolicy = AUTO):
         validate(e)
+        expr_level(e)  # refuses a tree whose operands mix levels
         self.semiring = sr
         self.expr = e
         self.word = word

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -537,3 +538,48 @@ def test_boolean_cycles_with_long_period(tmp_path, capsys):
                        for n in range(41))
     code, out, err = run(capsys, "eval", str(f), "--word", "( a )^w", "--n-max", "40")
     assert (code, out, err) == (0, expected, "")
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--level", "div", "--n-max", "-1"],
+    ["--level", "bidiv", "--i-range", "-1"],
+    ["--level", "div", "--samples", "0"],
+], ids=["n-max", "i-range", "samples"])
+def test_equiv_rejects_ranges_it_cannot_sample(capsys, argv):
+    # the two automata disagree at n=1, so an empty sample range must not
+    # be reported as agreement
+    code, out, err = run(capsys, "equiv", str(FIXTURES / "doubling.aut"),
+                         str(FIXTURES / "ramp_powers.aut"), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and argv[-2] in err
+
+
+def test_eval_rejects_negative_n_max(capsys):
+    code, out, err = run(capsys, "eval", str(FIXTURES / "doubling.aut"),
+                         "--word", "( a b )^w", "--n-max", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--n-max" in err
+
+
+def test_decompose_out_dir_that_is_not_a_directory(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir in (taken, taken / "below"):
+        code, out, err = run(capsys, "decompose", str(FIXTURES / "doubling.aut"),
+                             "--level", "div", "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot create {out_dir}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hs", "--terms", "1,1/2"],
+    ["expect", "--state", str(FIXTURES / "up_state.aut"),
+     "--operator", str(FIXTURES / "magnetization.aut")],
+], ids=["hs", "expect"])
+def test_quantum_tables_reject_negative_n(capsys, argv):
+    code, out, err = run(capsys, "quantum", *argv, "--n", "-1", "--rate-at", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--n" in err

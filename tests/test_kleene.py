@@ -38,6 +38,7 @@ from conftest import (
     random_conv_expr,
     random_div_expr,
     random_finite_word,
+    random_fraction,
     random_natural_automaton,
     random_rational_automaton,
     random_up_word,
@@ -257,3 +258,75 @@ def test_compile_never_normalizes_empty_word_acceptors():
     for _ in range(20):
         expr = random_div_expr(rng, NATURAL, 3)
         compile_div(NATURAL, AB, expr)
+
+
+# ---------------------------------------------------------------------------
+# round trips on series that are live on their words
+
+def live_expr(rng, sr, word):
+    """A diverging or bidiverging expression built from the symbols of
+    ``word``, so that most of its leaves are live there: each star runs over
+    a sum of every symbol the word uses, and the marked operands of a
+    conjoin spell out a stretch of the word."""
+    from divaut.series import Cat, Conjoin3, Scale, Sum, Zeta
+    from divaut.words import Alphabet
+
+    def coeff():
+        if sr is BOOLEAN:
+            return True
+        if sr is NATURAL:
+            return rng.randint(1, 3)
+        return random_fraction(rng, allow_zero=False)
+
+    def spell(symbols):
+        atoms = [Atom(s, coeff()) for s in symbols]
+        out = atoms[-1]
+        for atom in reversed(atoms[:-1]):
+            out = Cat(atom, out)
+        return out
+
+    twosided = hasattr(word, "center")
+    parts = (word.left, word.center, word.right) if twosided else (word.prefix, word.cycle)
+    used = sorted({s for part in parts for s in part})
+
+    def any_symbol():
+        if rng.random() < 0.25:  # a random proper expression over the same symbols
+            return random_conv_expr(rng, sr, 1, Alphabet(tuple(used)), True)
+        return Sum(tuple(Atom(s, coeff()) for s in used))
+
+    def leaf():
+        if rng.random() < 0.4:
+            return Zeta(any_symbol()) if twosided else Omega(any_symbol())
+        if twosided:
+            middle = spell(word.center) if word.center else any_symbol()
+            return Conjoin3(any_symbol(), middle, any_symbol())
+        stretch = (word.prefix + word.cycle)[:rng.randint(1, len(word.prefix) + 1)]
+        return Conjoin2(spell(stretch), any_symbol())
+
+    expr = leaf() if rng.random() < 0.5 else Sum((leaf(), leaf()))
+    return Scale(coeff(), expr, coeff()) if rng.random() < 0.3 else expr
+
+
+def test_compile_random_round_trips_on_live_series():
+    rng = random.Random(505)
+    tables = []
+    for case in range(40):
+        sr = rng.choice((NATURAL, BOOLEAN, RATIONAL))
+        if case % 2 == 0:
+            word = random_up_word(rng)
+            expr = live_expr(rng, sr, word)
+            aut = compile_div(sr, AB, expr)
+            series, behavior = DivSeries(sr, expr, word), DivergingBehavior(aut, word)
+            pairs = [(series.at(n), behavior.at(n)) for n in range(8)]
+        else:
+            word = random_bi_word(rng)
+            expr = live_expr(rng, sr, word)
+            aut = compile_bidiv(sr, AB, expr)
+            series = BidivSeries(sr, expr, word)
+            behavior = BidivergingBehavior(aut, word)
+            pairs = [(series.at(i, n), behavior.at(i, n))
+                     for i in (-2, 0, 1) for n in range(6)]
+        assert all(sr.eq(got, want) for got, want in pairs), (expr, word)
+        tables.append(any(not sr.is_zero(got) for got, _ in pairs))
+    # the generators above exist to make these comparisons non-trivial
+    assert sum(tables) >= len(tables) // 2
