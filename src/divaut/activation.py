@@ -45,28 +45,28 @@ from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_
 
 @dataclass(frozen=True)
 class ActivationPolicy:
-    """auto / exact: the exact rule of the semiring (the two are the same).
+    """auto (spelled ``exact`` too): the exact rule of the semiring.
     horizon: scan windows up to the given bound instead."""
 
-    kind: str  # "auto" | "exact" | "horizon"
+    kind: str  # "auto" | "horizon"
     horizon: int = 0
 
     @classmethod
     def parse(cls, text: str) -> "ActivationPolicy":
-        if text == "auto":
+        if text in ("auto", "exact"):
             return AUTO
-        if text == "exact":
-            return EXACT
-        if text.startswith("horizon:"):
-            bound = int(text.split(":", 1)[1])
-            if bound < 2:
-                raise ValueError("horizon bound must be at least 2")
-            return cls("horizon", bound)
-        raise ValueError(f"bad activation policy {text!r}")
+        try:
+            if not text.startswith("horizon:"):
+                raise ValueError
+            bound = int(text[len("horizon:"):])
+        except ValueError:
+            raise ValueError(f"bad activation policy {text!r}") from None
+        if bound < 2:
+            raise ValueError("horizon bound must be at least 2")
+        return cls("horizon", bound)
 
 
-AUTO = ActivationPolicy("auto")
-EXACT = ActivationPolicy("exact")
+AUTO = EXACT = ActivationPolicy("auto")
 
 
 def horizon(bound: int) -> ActivationPolicy:

@@ -265,15 +265,54 @@ def scale_automaton(left, aut: Automaton, right) -> Automaton:
                      dict(aut.transitions), aut.state_names)
 
 
-def sum_automata(a: Automaton, b: Automaton) -> Automaton:
+# ---------------------------------------------------------------------------
+# structural constructions: all but normalize, unroll and the off-diagonal
+# decomposition parts glue automata together (``_glue``) or re-point one at
+# new endpoints (``_pointed``)
+
+def _glue(parts, initial, final, merge) -> Automaton:
+    """Disjoint union of ``parts``, states numbered part after part, with
+    each state in ``merge`` identified with its target there.  Merged-away
+    states are dropped and the others keep their order.  ``initial`` and
+    ``final`` map states of the union to weights."""
+    first = parts[0]
+    n = sum(part.num_states for part in parts)
+    kept = [s for s in range(n) if s not in merge]
+    index = [0] * n
+    for new, old in enumerate(kept):
+        index[old] = new
+    for state, target in merge.items():
+        index[state] = index[target]
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(index[offset + i], index[offset + j], s, w)
+                  for i, j, s, w in part.edges()]
+        offset += part.num_states
+    return Automaton.build(first.semiring, first.alphabet, len(kept),
+                           {index[s]: w for s, w in initial.items()},
+                           {index[s]: w for s, w in final.items()}, edges)
+
+
+def _pointed(aut: Automaton, initial, final, keep=None) -> Automaton:
+    """``aut`` on the same states with weight-1 endpoints ``initial`` and
+    ``final``, keeping the edges (i, j) that ``keep(i, j)`` accepts (all of
+    them when ``keep`` is None)."""
+    sr = aut.semiring
+    edges = list(aut.edges())
+    if keep is not None:
+        edges = [e for e in edges if keep(e[0], e[1])]
+    return Automaton.build(sr, aut.alphabet, aut.num_states, {initial: sr.one},
+                           {final: sr.one}, edges)
+
+
+def sum_automata(first: Automaton, *rest: Automaton) -> Automaton:
     """Disjoint (block-diagonal) union; behaviors add."""
-    sr = require_same_semiring(a.semiring, b.semiring)
-    require_same_alphabet(a.alphabet, b.alphabet)
-    n = a.num_states + b.num_states
-    edges = list(a.edges())
-    edges += [(i + a.num_states, j + a.num_states, s, w) for i, j, s, w in b.edges()]
-    return Automaton.build(sr, a.alphabet, n, a.initial + b.initial,
-                           a.final + b.final, edges)
+    for other in rest:
+        require_same_semiring(first.semiring, other.semiring)
+        require_same_alphabet(first.alphabet, other.alphabet)
+    parts = (first, *rest)
+    return _glue(parts, dict(enumerate(w for part in parts for w in part.initial)),
+                 dict(enumerate(w for part in parts for w in part.final)), {})
 
 
 def normalize(aut: Automaton) -> Automaton:
@@ -315,18 +354,8 @@ def roll(aut: Automaton) -> Automaton:
     """Delete the final state of a normalized automaton, redirecting its
     incoming edges to the initial state, which becomes the loopback state."""
     initial, final = _require_normalized(aut)
-    sr = aut.semiring
-    keep = [s for s in range(aut.num_states) if s != final]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for i, j, symbol, w in aut.edges():
-        if i == final:
-            continue  # normalized: no such edges exist
-        target = remap[initial] if j == final else remap[j]
-        edges.append((remap[i], target, symbol, w))
-    loop = remap[initial]
-    return Automaton.build(sr, aut.alphabet, len(keep), {loop: sr.one},
-                           {loop: sr.one}, edges)
+    one = {initial: aut.semiring.one}
+    return _glue([aut], one, one, {final: initial})
 
 
 def unroll(aut: Automaton) -> Automaton:
@@ -348,24 +377,9 @@ def conjoin2(x: Automaton, y: Automaton) -> Automaton:
     sr = require_same_semiring(x.semiring, y.semiring)
     require_same_alphabet(x.alphabet, y.alphabet)
     x_initial, x_final = _require_normalized(x)
-    _require_normalized(y)
     rolled = roll(y)
-    y_loop = rolled.initial_states()[0]
-
-    keep = [s for s in range(x.num_states) if s != x_final]
-    remap = {old: new for new, old in enumerate(keep)}
-    offset = len(keep)
-    merged_loop = offset + y_loop
-
-    edges = []
-    for i, j, symbol, w in x.edges():
-        target = merged_loop if j == x_final else remap[j]
-        edges.append((remap[i], target, symbol, w))
-    for i, j, symbol, w in rolled.edges():
-        edges.append((offset + i, offset + j, symbol, w))
-    n = offset + rolled.num_states
-    return Automaton.build(sr, x.alphabet, n, {remap[x_initial]: sr.one},
-                           {merged_loop: sr.one}, edges)
+    loop = x.num_states + rolled.initial_states()[0]
+    return _glue([x, rolled], {x_initial: sr.one}, {loop: sr.one}, {x_final: loop})
 
 
 def disjoin2(aut: Automaton):
@@ -374,14 +388,10 @@ def disjoin2(aut: Automaton):
     cls = classify(aut)
     if cls not in (AutomatonClass.LOOPBACK_WITH_PRELUDE, AutomatonClass.NORMALIZED):
         raise WrongClass(f"disjoin needs a loopback-with-prelude automaton, got {cls.value}")
-    sr = aut.semiring
+    initial = aut.initial_states()[0]
     final = aut.final_states()[0]
-    prelude_edges = [(i, j, s, w) for i, j, s, w in aut.edges() if i != final]
-    prelude = Automaton.build(sr, aut.alphabet, aut.num_states, aut.initial,
-                              aut.final, prelude_edges)
-    cycle = Automaton.build(sr, aut.alphabet, aut.num_states, {final: sr.one},
-                            {final: sr.one}, list(aut.edges()))
-    return prelude, unroll(cycle)
+    prelude = _pointed(aut, initial, final, lambda i, j: i != final)
+    return prelude, unroll(_pointed(aut, final, final))
 
 
 def conjoin3(x: Automaton, middle: Automaton, y: Automaton) -> Automaton:
@@ -392,36 +402,14 @@ def conjoin3(x: Automaton, middle: Automaton, y: Automaton) -> Automaton:
                                y.semiring)
     require_same_alphabet(x.alphabet, middle.alphabet)
     require_same_alphabet(x.alphabet, y.alphabet)
-    _require_normalized(x)
-    m_initial, m_final = _require_normalized(middle)
-    _require_normalized(y)
-
     left = roll(x)
+    m_initial, m_final = _require_normalized(middle)
     right = roll(y)
-    left_loop = left.initial_states()[0]
-    right_loop = right.initial_states()[0]
-
-    keep = [s for s in range(middle.num_states) if s not in (m_initial, m_final)]
-    remap = {old: left.num_states + new for new, old in enumerate(keep)}
-    right_offset = left.num_states + len(keep)
-    src_loop = left_loop
-    dst_loop = right_offset + right_loop
-
-    def mapped(state):
-        if state == m_initial:
-            return src_loop
-        if state == m_final:
-            return dst_loop
-        return remap[state]
-
-    edges = list(left.edges())
-    for i, j, symbol, w in middle.edges():
-        edges.append((mapped(i), mapped(j), symbol, w))
-    for i, j, symbol, w in right.edges():
-        edges.append((right_offset + i, right_offset + j, symbol, w))
-    n = right_offset + right.num_states
-    return Automaton.build(sr, x.alphabet, n, {src_loop: sr.one},
-                           {dst_loop: sr.one}, edges)
+    offset = left.num_states
+    src_loop = left.initial_states()[0]
+    dst_loop = offset + middle.num_states + right.initial_states()[0]
+    return _glue([left, middle, right], {src_loop: sr.one}, {dst_loop: sr.one},
+                 {offset + m_initial: src_loop, offset + m_final: dst_loop})
 
 
 def disjoin3(aut: Automaton):
@@ -439,20 +427,11 @@ def disjoin3(aut: Automaton):
     if cls not in (AutomatonClass.BRIDGE, AutomatonClass.LOOPBACK_WITH_PRELUDE,
                    AutomatonClass.NORMALIZED):
         raise WrongClass(f"disjoin3 needs a bridge automaton, got {cls.value}")
-    sr = aut.semiring
     initial = aut.initial_states()[0]
     final = aut.final_states()[0]
-    all_edges = list(aut.edges())
-    head_edges = [(i, j, s, w) for i, j, s, w in all_edges if j != final]
-    head = Automaton.build(sr, aut.alphabet, aut.num_states, {initial: sr.one},
-                           {initial: sr.one}, head_edges)
-    tail = Automaton.build(sr, aut.alphabet, aut.num_states, {final: sr.one},
-                           {final: sr.one}, all_edges)
-    middle_edges = [(i, j, s, w) for i, j, s, w in all_edges
-                    if j != initial and i != final]
-    middle = Automaton.build(sr, aut.alphabet, aut.num_states, aut.initial,
-                             aut.final, middle_edges)
-    return unroll(head), middle, unroll(tail)
+    head = _pointed(aut, initial, initial, lambda i, j: j != final)
+    middle = _pointed(aut, initial, final, lambda i, j: j != initial and i != final)
+    return unroll(head), middle, unroll(_pointed(aut, final, final))
 
 
 @dataclass(frozen=True)
@@ -473,14 +452,11 @@ def decompose_diverging(aut: Automaton) -> WeightedSumDecomposition:
         for q in aut.final_states():
             left, right = aut.initial[p], aut.final[q]
             if p == q:
-                part = Automaton.build(sr, aut.alphabet, aut.num_states,
-                                       {q: sr.one}, {q: sr.one}, list(aut.edges()))
+                part = _pointed(aut, q, q)
             else:
                 fresh = aut.num_states
                 edges = list(aut.edges())
-                for i, j, symbol, w in aut.edges():
-                    if i == p:
-                        edges.append((fresh, j, symbol, w))
+                edges += [(fresh, j, s, w) for i, j, s, w in edges if i == p]
                 part = Automaton.build(sr, aut.alphabet, aut.num_states + 1,
                                        {fresh: sr.one}, {q: sr.one}, edges)
             parts.append((left, part, right))
@@ -490,15 +466,9 @@ def decompose_diverging(aut: Automaton) -> WeightedSumDecomposition:
 def decompose_bidiverging(aut: Automaton) -> WeightedSumDecomposition:
     """Split into loopback parts (diagonal) and bridge parts (off-diagonal);
     bridges have no edge restrictions so no fresh state is needed."""
-    sr = aut.semiring
-    parts = []
-    for p in aut.initial_states():
-        for q in aut.final_states():
-            left, right = aut.initial[p], aut.final[q]
-            part = Automaton.build(sr, aut.alphabet, aut.num_states,
-                                   {p: sr.one}, {q: sr.one}, list(aut.edges()))
-            parts.append((left, part, right))
-    return WeightedSumDecomposition(tuple(parts))
+    return WeightedSumDecomposition(tuple(
+        (aut.initial[p], _pointed(aut, p, q), aut.final[q])
+        for p in aut.initial_states() for q in aut.final_states()))
 
 
 def isomorphic(a: Automaton, b: Automaton) -> bool:

@@ -137,36 +137,31 @@ def cmd_eval(args):
 # ---------------------------------------------------------------------------
 # structural transforms
 
-def cmd_transform(args):
-    aut = _load_automaton(args.file)
-    out = {"normalize": normalize, "roll": roll, "unroll": unroll}[args.command](aut)
-    _write_output(format_automaton(out), args.out)
+# name -> (help, input automata, construction, output flags).  A single
+# automaton goes to --out (stdout without it); the parts of a split go one
+# to each required flag.
+_STRUCTURAL = {
+    "normalize": ("fresh weight-1 endpoints", ("file",), normalize, ("--out",)),
+    "roll": ("normalized -> loopback", ("file",), roll, ("--out",)),
+    "unroll": ("loopback -> normalized", ("file",), unroll, ("--out",)),
+    "conjoin": ("glue two normalized automata", ("x", "y"), conjoin2, ("--out",)),
+    "conjoin3": ("glue three normalized automata", ("x", "m", "y"), conjoin3,
+                 ("--out",)),
+    "disjoin": ("split a loopback-with-prelude automaton", ("file",), disjoin2,
+                ("--out-x", "--out-y")),
+    "disjoin3": ("split a bridge automaton", ("file",), disjoin3,
+                 ("--out-x", "--out-m", "--out-y")),
+}
 
 
-def cmd_conjoin(args):
-    left = _load_automaton(args.x)
-    right = _load_automaton(args.y)
-    _write_output(format_automaton(conjoin2(left, right)), args.out)
-
-
-def cmd_conjoin3(args):
-    first = _load_automaton(args.x)
-    middle = _load_automaton(args.m)
-    second = _load_automaton(args.y)
-    _write_output(format_automaton(conjoin3(first, middle, second)), args.out)
-
-
-def cmd_disjoin(args):
-    prelude, cycle = disjoin2(_load_automaton(args.file))
-    _write_file(args.out_x, format_automaton(prelude))
-    _write_file(args.out_y, format_automaton(cycle))
-
-
-def cmd_disjoin3(args):
-    head, middle, tail = disjoin3(_load_automaton(args.file))
-    _write_file(args.out_x, format_automaton(head))
-    _write_file(args.out_m, format_automaton(middle))
-    _write_file(args.out_y, format_automaton(tail))
+def cmd_structural(args):
+    _, inputs, construct, outputs = _STRUCTURAL[args.command]
+    result = construct(*(_load_automaton(getattr(args, name)) for name in inputs))
+    if isinstance(result, Automaton):
+        _write_output(format_automaton(result), args.out)
+        return
+    for flag, part in zip(outputs, result):
+        _write_file(getattr(args, flag[2:].replace("-", "_")), format_automaton(part))
 
 
 def cmd_decompose(args):
@@ -324,6 +319,9 @@ def cmd_quantum(args):
         _at_least("--k", args.k, 0)
         _write_output(format_automaton(quantum.build_correlator(args.k)), args.out)
         return
+    _at_least("--n", args.n, 0)
+    if args.rate_at is not None:
+        _at_least("--rate-at", args.rate_at, 1)
     if args.quantum_command == "expect":
         state = _load_automaton(args.state)
         operator = _load_automaton(args.operator)
@@ -357,9 +355,6 @@ def _parse_hs_terms(text: str):
 def _print_expect_table(ev, n_max: int, rate_at):
     from .semiring import GAUSSIAN
 
-    _at_least("--n", n_max, 0)
-    if rate_at is not None:
-        _at_least("--rate-at", rate_at, 1)
     rows = []
     for n in range(n_max + 1):
         numerator, denominator, ratio = ev.row(n)
@@ -400,39 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window start for biinfinite words")
     p.set_defaults(func=cmd_eval)
 
-    for name, help_text in (("normalize", "fresh weight-1 endpoints"),
-                            ("roll", "normalized -> loopback"),
-                            ("unroll", "loopback -> normalized")):
+    for name, (help_text, inputs, _, outputs) in _STRUCTURAL.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file")
-        p.add_argument("--out")
-        p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("conjoin", help="glue two normalized automata")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_conjoin)
-
-    p = sub.add_parser("conjoin3", help="glue three normalized automata")
-    p.add_argument("x")
-    p.add_argument("m")
-    p.add_argument("y")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_conjoin3)
-
-    p = sub.add_parser("disjoin", help="split a loopback-with-prelude automaton")
-    p.add_argument("file")
-    p.add_argument("--out-x", required=True)
-    p.add_argument("--out-y", required=True)
-    p.set_defaults(func=cmd_disjoin)
-
-    p = sub.add_parser("disjoin3", help="split a bridge automaton")
-    p.add_argument("file")
-    p.add_argument("--out-x", required=True)
-    p.add_argument("--out-m", required=True)
-    p.add_argument("--out-y", required=True)
-    p.set_defaults(func=cmd_disjoin3)
+        for input_name in inputs:
+            p.add_argument(input_name)
+        for flag in outputs:
+            p.add_argument(flag, required=flag != "--out")
+        p.set_defaults(func=cmd_structural)
 
     p = sub.add_parser("decompose",
                        help="weighted sum of loopback/prelude/bridge parts")

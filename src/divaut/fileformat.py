@@ -340,15 +340,21 @@ _KINDS = {"states": "automaton", "expr": "expression"}
 
 def detect_kind(text: str) -> str:
     """'automaton' or 'expression', by whether a ``states`` or an ``expr``
-    section comes first.  A section key is a word at bracket depth 0 that
-    is followed by ':'."""
-    depth, prev = 0, None
+    section comes first.  A section key is a word outside all brackets that
+    is followed by ':'; a bracket left unbalanced before the first key is
+    reported where it stands."""
+    open_, prev = [], None
     for tok in tokenize(text):
         if tok.text in "([{":
-            depth += 1
+            open_.append(tok)
         elif tok.text in ")]}":
-            depth -= 1
-        elif tok.text == ":" and depth == 0 and prev in _KINDS:
+            if not open_:
+                raise DivautParseError(f"unmatched {tok.text!r}", tok.line, tok.column)
+            open_.pop()
+        elif tok.text == ":" and not open_ and prev in _KINDS:
             return _KINDS[prev]
         prev = tok.text
+    if open_:
+        tok = open_[0]
+        raise DivautParseError(f"unclosed {tok.text!r}", tok.line, tok.column)
     raise DivautParseError("file has neither a states nor an expr section")

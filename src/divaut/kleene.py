@@ -68,19 +68,15 @@ def _compile(sr, alphabet, e):
         return Automaton.build(sr, alphabet, 2, {0: sr.one}, {1: sr.one},
                                [(0, 1, e.symbol, coeff)])
     if isinstance(e, Sum):
-        if not e.terms:
-            return zero_automaton(sr, alphabet)
-        if all(isinstance(t, Atom) for t in e.terms):
+        if e.terms and all(isinstance(t, Atom) for t in e.terms):
             # one shared pair of states; parallel edges add up
             for t in e.terms:
                 alphabet.require(t.symbol)
             edges = [(0, 1, t.symbol, sr.check(t.coeff)) for t in e.terms]
             return Automaton.build(sr, alphabet, 2, {0: sr.one}, {1: sr.one},
                                    edges)
-        out = zero_automaton(sr, alphabet)
-        for t in e.terms:
-            out = sum_automata(out, _compile(sr, alphabet, t))
-        return out
+        return sum_automata(zero_automaton(sr, alphabet),
+                            *(_compile(sr, alphabet, t) for t in e.terms))
     if isinstance(e, Scale):
         return scale_automaton(sr.check(e.left_coeff),
                                _compile(sr, alphabet, e.inner),
@@ -191,14 +187,12 @@ def extract_bidiv(aut: Automaton) -> Expr:
 def _compile_form(sr, alphabet, form, glue) -> Automaton:
     """Sum of the scaled conjoin terms, glued by ``glue`` from their
     normalized operands, and the scaled rolled iteration terms."""
-    out = zero_automaton(sr, alphabet)
-    for left, *operands, right in form.conjoin_terms:
-        glued = glue(*(_normalized(sr, alphabet, x) for x in operands))
-        out = sum_automata(out, scale_automaton(left, glued, right))
-    for left, inner, right in form.iteration_terms:
-        looped = roll(_normalized(sr, alphabet, inner))
-        out = sum_automata(out, scale_automaton(left, looped, right))
-    return out
+    glued = [(left, glue(*(_normalized(sr, alphabet, x) for x in operands)), right)
+             for left, *operands, right in form.conjoin_terms]
+    looped = [(left, roll(_normalized(sr, alphabet, inner)), right)
+              for left, inner, right in form.iteration_terms]
+    return sum_automata(zero_automaton(sr, alphabet),
+                        *(scale_automaton(*term) for term in glued + looped))
 
 
 def _extract_parts(aut, decompose, iteration, disjoin, conjoin) -> Expr:

@@ -388,6 +388,18 @@ def test_policy_parsing():
         ActivationPolicy.parse("sometimes")
 
 
+def test_exact_is_the_auto_policy():
+    assert EXACT is AUTO and AUTO.kind == "auto"
+    assert ActivationPolicy.parse("exact").kind == "auto"
+
+
+@pytest.mark.parametrize("text", ["horizon:abc", "horizon:", "horizon:1.5", "horizon"])
+def test_policy_with_a_bad_bound_names_the_policy(text):
+    with pytest.raises(ValueError) as err:
+        ActivationPolicy.parse(text)
+    assert str(err.value) == f"bad activation policy {text!r}"
+
+
 def test_bidiverging_one_shot(figure_two):
     word = bi_word("ab", "", "ab")
     value = bidiverging_behavior(figure_two, word, 0, 3)

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from divaut.automaton import Automaton, converging_weight
-from divaut.activation import DivergingBehavior
+from divaut.automaton import Automaton, AutomatonClass, classify, converging_weight
+from divaut.activation import BidivergingBehavior, DivergingBehavior
 from divaut.cli import main
 from divaut.fileformat import (
     detect_kind,
@@ -17,7 +17,7 @@ from divaut.semiring import GAUSSIAN, NATURAL, gaussian
 from divaut.series import Atom, Conjoin2, Omega, Scale, Star, Sum
 from divaut.words import Alphabet
 
-from conftest import AB, finite, up_word
+from conftest import AB, bi_word, finite, up_word
 
 
 def run(capsys, *argv):
@@ -583,3 +583,63 @@ def test_quantum_tables_reject_negative_n(capsys, argv):
     code, out, err = run(capsys, "quantum", *argv, "--n", "-1", "--rate-at", "3")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "--n" in err
+
+
+@pytest.mark.parametrize("flag", ["--activation", "--chi"])
+def test_bad_horizon_bound_names_the_policy(capsys, flag):
+    code, out, err = run(capsys, flag, "horizon:abc", "eval",
+                         str(FIXTURES / "doubling.aut"), "--word", "a b")
+    assert (code, out, err) == (1, "", "error: bad activation policy 'horizon:abc'\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--n", "-1"], "--n"),
+    (["--n", "3", "--rate-at", "0"], "--rate-at"),
+], ids=["n", "rate-at"])
+def test_quantum_ranges_are_checked_before_the_build(capsys, monkeypatch, argv, flag):
+    import divaut.quantum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the ranges were checked")
+
+    monkeypatch.setattr(divaut.quantum, "build_hs_hamiltonian", refuse)
+    monkeypatch.setattr(divaut.quantum, "expected_value", refuse)
+    code, out, err = run(capsys, "quantum", "hs", "--terms", "1,1/2;1,1/3;1,1/5", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be at least")
+    # expect checks the ranges before it reads its files, too
+    code, out, err = run(capsys, "quantum", "expect", "--state", "missing.aut",
+                         "--operator", "missing.aut", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be at least")
+
+
+def test_conjoin3_disjoin3_round_trip(tmp_path, capsys):
+    names = ("x", "m", "y")
+    texts = [
+        "transitions: [{from: s, to: t, symbol: b, weight: 1}]\n",
+        "transitions: [{from: s, to: u, symbol: a, weight: 2},\n"
+        "  {from: u, to: u, symbol: b, weight: 1}, {from: u, to: t, symbol: a}]\n",
+        "transitions: [{from: s, to: t, symbol: a, weight: 3}]\n",
+    ]
+    for name, transitions in zip(names, texts):
+        (tmp_path / f"{name}.aut").write_text(
+            "semiring: natural\nalphabet: [a, b]\nstates: [s, t, u]\n"
+            "initial: {s: 1}\nfinal: {t: 1}\n" + transitions)
+    bridge = tmp_path / "bridge.aut"
+    inputs = [str(tmp_path / f"{name}.aut") for name in names]
+    assert run(capsys, "conjoin3", *inputs, "--out", str(bridge)) == (0, "", "")
+    pieces = [str(tmp_path / f"piece_{name}.aut") for name in names]
+    assert run(capsys, "disjoin3", str(bridge), "--out-x", pieces[0],
+               "--out-m", pieces[1], "--out-y", pieces[2]) == (0, "", "")
+    code, printed, err = run(capsys, "conjoin3", *pieces)
+    assert (code, err) == (0, "")
+    one = parse_automaton(bridge.read_text())
+    two = parse_automaton(printed)
+    assert classify(one) is classify(two) is AutomatonClass.BRIDGE
+    for word in (bi_word("b", "abba", "a"), bi_word("b", "aa", "a"), bi_word("ab", "", "ba")):
+        assert [BidivergingBehavior(one, word).at(i, n) for i in range(-2, 3)
+                for n in range(8)] == \
+            [BidivergingBehavior(two, word).at(i, n) for i in range(-2, 3)
+             for n in range(8)]
+    assert any(BidivergingBehavior(one, bi_word("b", "abba", "a")).at(0, n) for n in range(8))

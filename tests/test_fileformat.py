@@ -145,6 +145,25 @@ def test_expression_mixing_levels_is_rejected(tmp_path, capsys):
         assert err.startswith("parse error: line 3, column 7")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("semiring: natural\nalphabet: [a\nstates: [x]\n", (2, 11)),
+    ("semiring: natural\nalphabet: [a]]\nstates: [x]\n", (2, 14)),
+    ("semiring: natural\nalphabet: [a, (b\n[c]\nexpr: sym(a, 1)\n", (2, 11)),
+    ("semiring: natural\n)\nalphabet: [a]\nexpr: sym(a, 1)\n", (2, 1)),
+], ids=["unclosed-automaton", "stray-automaton", "unclosed-expression",
+        "stray-expression"])
+def test_unbalanced_bracket_before_the_first_key_is_placed(tmp_path, capsys,
+                                                           text, where):
+    with pytest.raises(DivautParseError) as err:
+        detect_kind(text)
+    assert (err.value.line, err.value.column) == where
+    f = tmp_path / "unbalanced.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "eval", str(f), "--word", "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line %d, column %d: un" % where)
+
+
 # ---------------------------------------------------------------------------
 # the comma rule
 
