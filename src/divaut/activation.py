@@ -13,9 +13,9 @@ cancels picks one of two exact rules (``auto`` and ``exact`` are the same):
 * Boolean / natural: a sum is non-zero iff some path exists, so this is
   reachability on the supports ("pumped reach").  Among the states the cycle
   reaches from the start set, repeatedly peel off those with no predecessor
-  left; the rest are reached by arbitrarily long walks.  Two-sided words
-  pump the left cycle from each suffix phase, cross the center, and meet the
-  transposed right cycle pumped from each prefix phase.
+  left; the rest are reached by arbitrarily long walks.  A two-sided word
+  pumps the left cycle from each suffix phase and then reads on as the
+  one-sided word ``m r^w`` under the same rule.
 * Fields: for fixed phases the sums are linear recurrences of order at most
   d = |Q| in each exponent (Cayley-Hamilton; Berstel & Reutenauer,
   *Noncommutative Rational Series with Applications*, ch. 2).  One that is
@@ -28,8 +28,9 @@ cancels picks one of two exact rules (``auto`` and ``exact`` are the same):
 A semiring that cancels but is not a field has no exact rule and raises
 :class:`UnsupportedExactDecision`.  ``horizon:K`` is an explicit
 approximation for differential testing: prefix lengths (K/2, K], extents
-[K/2, K].  Every rule makes one pass per start row (and, two-sided, one per
-end column) and reports for each row the set of end columns it activates.
+[K/2, K].  Every rule makes one pass per start row and reports for each row
+the set of end columns it activates; the field and horizon rules on
+two-sided words also make one pass per end column (heads x tails).
 """
 from __future__ import annotations
 
@@ -137,40 +138,36 @@ def _pumped_reach(aut, word, rows, cols) -> list:
     sr = aut.semiring
     mats = {s: _bits_of_rows(aut.sparse_rows(s)) for s in aut.alphabet}
 
-    def walk(bits, symbols, by=mats):
+    def walk(bits, symbols):
         for s in symbols:
-            bits = _bit_step(bits, by[s])
+            bits = _bit_step(bits, mats[s])
         return bits
 
-    def cycle_matrix(symbols):
-        return tuple(walk(1 << i, symbols) for i in range(aut.num_states))
+    def cycle_bits(cycle):
+        """The bit matrix of one pass over ``cycle`` and its transpose."""
+        cmat = tuple(walk(1 << i, cycle) for i in range(aut.num_states))
+        return cmat, _transpose(cmat)
 
     heads = [_bits_of_vector(sr, row) for row in rows]
-    ends = [_bits_of_vector(sr, col) for col in cols]
-    if isinstance(word, BiInfiniteWord):
-        left, right = word.left, word.right
-        lmat, rmat = cycle_matrix(left), cycle_matrix(right)
-        lpred, rtrans = _transpose(lmat), _transpose(rmat)
-        tmats = {s: _transpose(m) for s, m in mats.items()}
-        heads = [walk(reduce(or_, (_pumped(walk(h, left[len(left) - s:]), lmat, lpred)
-                                   for s in range(len(left)))), word.center)
+    if isinstance(word, BiInfiniteWord):  # left heads, then center . (right)^w
+        left = word.left
+        lmat, lpred = cycle_bits(left)
+        heads = [reduce(or_, (_pumped(walk(h, left[len(left) - s:]), lmat, lpred)
+                              for s in range(len(left))))
                  for h in heads]
-        ends = [reduce(or_, (_pumped(walk(e, right[:t][::-1], tmats), rtrans, rmat)
-                             for t in range(len(right))))
-                for e in ends]
+        prefix, cycle = word.center, word.right
     else:
-        cycle = word.cycle
-        cmat = cycle_matrix(cycle)
-        cpred = _transpose(cmat)
-        pumped = [_pumped(walk(h, word.prefix), cmat, cpred) for h in heads]
-        heads = []
-        for bits in pumped:  # then any partial prefix of the cycle
-            union = bits
-            for s in cycle[:-1]:
-                bits = _bit_step(bits, mats[s])
-                union |= bits
-            heads.append(union)
-    return [{c for c, e in enumerate(ends) if h & e} for h in heads]
+        prefix, cycle = word.prefix, word.cycle
+    cmat, cpred = cycle_bits(cycle)
+    ends = [_bits_of_vector(sr, col) for col in cols]
+    live = []
+    for h in heads:
+        bits = union = _pumped(walk(h, prefix), cmat, cpred)
+        for s in cycle[:-1]:  # then any partial prefix of the cycle
+            bits = _bit_step(bits, mats[s])
+            union |= bits
+        live.append({c for c, e in enumerate(ends) if union & e})
+    return live
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,12 @@ def zero_automaton(semiring: Semiring, alphabet: Alphabet) -> Automaton:
     return Automaton(semiring, alphabet, 0, (), (), {})
 
 
-def trim(aut: Automaton) -> Automaton:
-    """Drop states that cannot lie on any successful path (not reachable
-    from an initial state or not co-reachable to a final one).  Behavior is
-    unchanged at every level: removed states never contribute to a path sum,
-    and activation only looks at path sums."""
-    sr = aut.semiring
-    forward = {i: set() for i in range(aut.num_states)}
-    backward = {i: set() for i in range(aut.num_states)}
-    for i, j, _, _ in aut.edges():
+def _on_paths(num_states, edges, initial, final) -> list:
+    """The states on some path of ``edges`` from a state in ``initial`` to
+    one in ``final``, in increasing order."""
+    forward = {i: set() for i in range(num_states)}
+    backward = {i: set() for i in range(num_states)}
+    for i, j, _, _ in edges:
         forward[i].add(j)
         backward[j].add(i)
 
@@ -237,9 +234,17 @@ def trim(aut: Automaton) -> Automaton:
                     queue.append(nxt)
         return seen
 
-    reachable = closure(aut.initial_states(), forward)
-    coreachable = closure(aut.final_states(), backward)
-    keep = sorted(reachable & coreachable)
+    return sorted(closure(initial, forward) & closure(final, backward))
+
+
+def trim(aut: Automaton) -> Automaton:
+    """Drop states that cannot lie on any successful path (not reachable
+    from an initial state or not co-reachable to a final one).  Behavior is
+    unchanged at every level: removed states never contribute to a path sum,
+    and activation only looks at path sums."""
+    sr = aut.semiring
+    keep = _on_paths(aut.num_states, list(aut.edges()), aut.initial_states(),
+                     aut.final_states())
     if len(keep) == aut.num_states:
         return aut
     if not keep:
@@ -294,15 +299,19 @@ def _glue(parts, initial, final, merge) -> Automaton:
 
 
 def _pointed(aut: Automaton, initial, final, keep=None) -> Automaton:
-    """``aut`` on the same states with weight-1 endpoints ``initial`` and
-    ``final``, keeping the edges (i, j) that ``keep(i, j)`` accepts (all of
-    them when ``keep`` is None)."""
+    """``aut`` with weight-1 endpoints ``initial`` and ``final``, keeping the
+    edges (i, j) that ``keep(i, j)`` accepts (all of them when ``keep`` is
+    None) and, in their order, the states on some path of those edges
+    between the endpoints.  Both endpoints stay even when no path joins them,
+    so a zero part keeps its class."""
     sr = aut.semiring
-    edges = list(aut.edges())
-    if keep is not None:
-        edges = [e for e in edges if keep(e[0], e[1])]
-    return Automaton.build(sr, aut.alphabet, aut.num_states, {initial: sr.one},
-                           {final: sr.one}, edges)
+    edges = [e for e in aut.edges() if keep is None or keep(e[0], e[1])]
+    on = set(_on_paths(aut.num_states, edges, [initial], [final]))
+    remap = {old: new for new, old in enumerate(sorted(on | {initial, final}))}
+    return Automaton.build(sr, aut.alphabet, len(remap), {remap[initial]: sr.one},
+                           {remap[final]: sr.one},
+                           [(remap[i], remap[j], s, w) for i, j, s, w in edges
+                            if i in on and j in on])
 
 
 def sum_automata(first: Automaton, *rest: Automaton) -> Automaton:

@@ -92,6 +92,27 @@ def _operator_alphabets(op: Automaton):
     return Alphabet(tuple(sources)), Alphabet(tuple(targets))
 
 
+def _pair_product(a: Automaton, b: Automaton, alphabet: Alphabet, triples) -> Automaton:
+    """Product of two automata over ``alphabet``: the pair of states (i, j)
+    is numbered i * |b| + j, and each (symbol of a, symbol of b, output
+    symbol) triple gives one output edge per pair of edges."""
+    sr = a.semiring
+    nb = b.num_states
+    initial = [sr.mul(x, y) for x in a.initial for y in b.initial]
+    final = [sr.mul(x, y) for x in a.final for y in b.final]
+    edges = []
+    for sa, sb, out in triples:
+        arows, brows = a.transitions.get(sa), b.transitions.get(sb)
+        if arows is None or brows is None:
+            continue
+        for i, arow in enumerate(arows):
+            for k, aw in arow:
+                for j, brow in enumerate(brows):
+                    for l, bw in brow:
+                        edges.append((i * nb + j, k * nb + l, out, sr.mul(aw, bw)))
+    return Automaton.build(sr, alphabet, a.num_states * nb, initial, final, edges)
+
+
 def apply_transducer(op: Automaton, state: Automaton) -> Automaton:
     """Run an operator automaton over a state automaton.
 
@@ -100,36 +121,13 @@ def apply_transducer(op: Automaton, state: Automaton) -> Automaton:
     """
     if op.semiring is not state.semiring:
         raise SemiringMismatch("operator and state must share a semiring")
-    sr = op.semiring
     sources, targets = _operator_alphabets(op)
-    if sources != state.alphabet:
+    if set(sources) != set(state.alphabet):
         raise AlphabetMismatch(
             f"operator reads {list(sources.symbols)} but state is over "
             f"{list(state.alphabet.symbols)}")
-
-    no, ns = op.num_states, state.num_states
-
-    def pair(i, j):
-        return i * ns + j
-
-    initial = {pair(i, j): sr.mul(op.initial[i], state.initial[j])
-               for i in range(no) for j in range(ns)}
-    final = {pair(i, j): sr.mul(op.final[i], state.final[j])
-             for i in range(no) for j in range(ns)}
-    edges = []
-    for symbol in op.alphabet:
-        src, dst = split_endo_symbol(symbol)
-        if op.transitions.get(symbol) is None or state.transitions.get(src) is None:
-            continue
-        orows = op.sparse_rows(symbol)
-        srows = state.sparse_rows(src)
-        for i in range(no):
-            for k, ow in orows[i]:
-                for j in range(ns):
-                    for l, sw in srows[j]:
-                        edges.append((pair(i, j), pair(k, l), dst,
-                                      sr.mul(ow, sw)))
-    return Automaton.build(sr, targets, no * ns, initial, final, edges)
+    return _pair_product(op, state, targets,
+                         [(symbol, *split_endo_symbol(symbol)) for symbol in op.alphabet])
 
 
 def compose_transducers(outer: Automaton, inner: Automaton) -> Automaton:
@@ -137,40 +135,14 @@ def compose_transducers(outer: Automaton, inner: Automaton) -> Automaton:
     over the intermediate symbol b."""
     if outer.semiring is not inner.semiring:
         raise SemiringMismatch("transducers must share a semiring")
-    sr = outer.semiring
     outer_src, outer_dst = _operator_alphabets(outer)
     inner_src, inner_dst = _operator_alphabets(inner)
-    if outer_src != inner_dst:
+    if set(outer_src) != set(inner_dst):
         raise AlphabetMismatch("composition needs the outer input alphabet to "
                                "match the inner output alphabet")
-    no, ni = outer.num_states, inner.num_states
-
-    def pair(i, j):
-        return i * ni + j
-
-    alphabet = endo_alphabet(inner_src, outer_dst)
-    initial = {pair(i, j): sr.mul(outer.initial[i], inner.initial[j])
-               for i in range(no) for j in range(ni)}
-    final = {pair(i, j): sr.mul(outer.final[i], inner.final[j])
-             for i in range(no) for j in range(ni)}
-    edges = []
-    for mid in outer_src:
-        for a in inner_src:
-            if inner.transitions.get(endo_symbol(a, mid)) is None:
-                continue
-            irows = inner.sparse_rows(endo_symbol(a, mid))
-            for c in outer_dst:
-                if outer.transitions.get(endo_symbol(mid, c)) is None:
-                    continue
-                orows = outer.sparse_rows(endo_symbol(mid, c))
-                for i in range(no):
-                    for k, ow in orows[i]:
-                        for j in range(ni):
-                            for l, iw in irows[j]:
-                                edges.append((pair(i, j), pair(k, l),
-                                              endo_symbol(a, c),
-                                              sr.mul(ow, iw)))
-    return Automaton.build(sr, alphabet, no * ni, initial, final, edges)
+    return _pair_product(outer, inner, endo_alphabet(inner_src, outer_dst),
+                         [(endo_symbol(b, c), endo_symbol(a, b), endo_symbol(a, c))
+                          for b in outer_src for a in inner_src for c in outer_dst])
 
 
 def dual(state: Automaton) -> Automaton:
@@ -242,7 +214,7 @@ def expected_value(state: Automaton, operator: Automaton,
                    policy: ActivationPolicy = AUTO) -> ExpectedValue:
     """bra(state) . operator . ket(state) over n sites, next to the norm."""
     sources, targets = _operator_alphabets(operator)
-    if sources != targets:
+    if set(sources) != set(targets):
         raise AlphabetMismatch("expected values need an endomorphism operator")
     numerator = ScalarSequence(
         apply_transducer(dual(state), apply_transducer(operator, state)), policy)

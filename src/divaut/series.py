@@ -103,70 +103,43 @@ def is_proper(e: Expr) -> bool:
 _NODE_LEVEL = {Atom: "conv", Cat: "conv", Star: "conv", Omega: "div",
                Conjoin2: "div", Zeta: "bidiv", Conjoin3: "bidiv"}
 
+# the nodes whose operands must be proper, with the message that refuses one
+_PROPER_OPERANDS = {Star: "star needs a proper operand",
+                    Omega: "omega needs a proper operand",
+                    Zeta: "zeta needs a proper operand",
+                    Conjoin2: "conjoin needs proper operands",
+                    Conjoin3: "conjoin3 needs proper operands"}
+
+
+def _operands(e: Expr) -> tuple:
+    """A sum's terms, or else the node's ``Expr`` fields in order."""
+    if isinstance(e, Sum):
+        return e.terms
+    if not isinstance(e, Expr):
+        raise TypeError(f"not a series expression: {e!r}")
+    return tuple(getattr(e, f.name) for f in fields(e) if f.type == "Expr")
+
 
 def expr_level(e: Expr) -> str:
     """'conv', 'div', or 'bidiv'; sums and scales take their operands' level.
     Raises TypeError unless every operand of every other node is converging."""
     if type(e) in _NODE_LEVEL:
-        for f in fields(e):
-            if f.type == "Expr" and expr_level(getattr(e, f.name)) != "conv":
-                raise TypeError(f"{type(e).__name__} needs converging operands")
+        if any(expr_level(part) != "conv" for part in _operands(e)):
+            raise TypeError(f"{type(e).__name__} needs converging operands")
         return _NODE_LEVEL[type(e)]
-    if isinstance(e, Scale):
-        return expr_level(e.inner)
-    if isinstance(e, Sum):
-        levels = {expr_level(t) for t in e.terms}
-        if not levels:
-            return "conv"
-        if len(levels) > 1:
-            raise TypeError(f"sum mixes series levels {sorted(levels)}")
-        return levels.pop()
-    raise TypeError(f"not a series expression: {e!r}")
+    levels = {expr_level(part) for part in _operands(e)}
+    if len(levels) > 1:
+        raise TypeError(f"sum mixes series levels {sorted(levels)}")
+    return levels.pop() if levels else "conv"
 
 
 def validate(e: Expr):
     """Check the properness side conditions of star/omega/zeta/conjoin."""
-    if isinstance(e, Atom):
-        return
-    if isinstance(e, Sum):
-        for t in e.terms:
-            validate(t)
-        return
-    if isinstance(e, Cat):
-        validate(e.left)
-        validate(e.right)
-        return
-    if isinstance(e, Star):
-        validate(e.inner)
-        if not is_proper(e.inner):
-            raise ImproperStar("star needs a proper operand")
-        return
-    if isinstance(e, Scale):
-        validate(e.inner)
-        return
-    if isinstance(e, Omega):
-        validate(e.inner)
-        if not is_proper(e.inner):
-            raise ImproperStar("omega needs a proper operand")
-        return
-    if isinstance(e, Zeta):
-        validate(e.inner)
-        if not is_proper(e.inner):
-            raise ImproperStar("zeta needs a proper operand")
-        return
-    if isinstance(e, Conjoin2):
-        for part in (e.first, e.second):
-            validate(part)
-            if not is_proper(part):
-                raise ImproperStar("conjoin needs proper operands")
-        return
-    if isinstance(e, Conjoin3):
-        for part in (e.first, e.middle, e.second):
-            validate(part)
-            if not is_proper(part):
-                raise ImproperStar("conjoin3 needs proper operands")
-        return
-    raise TypeError(f"not a series expression: {e!r}")
+    message = _PROPER_OPERANDS.get(type(e))
+    for part in _operands(e):
+        validate(part)
+        if message is not None and not is_proper(part):
+            raise ImproperStar(message)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +351,9 @@ def to_characteristic(sr: Semiring, e: Expr, level: str = None) -> Characteristi
         elif isinstance(node, Scale):
             walk(node.inner, sr.mul(left, sr.check(node.left_coeff)),
                  sr.mul(sr.check(node.right_coeff), right))
-        elif isinstance(node, Omega):
-            iterations.append((left, node.inner, right))
-        elif isinstance(node, Zeta):
-            iterations.append((left, node.inner, right))
-        elif isinstance(node, Conjoin2):
-            conjoins.append((left, node.first, node.second, right))
-        elif isinstance(node, Conjoin3):
-            conjoins.append((left, node.first, node.middle, node.second, right))
+        elif isinstance(node, (Omega, Zeta, Conjoin2, Conjoin3)):
+            parts = _operands(node)
+            (conjoins if len(parts) > 1 else iterations).append((left, *parts, right))
         else:
             raise TypeError(f"unexpected node in characteristic flattening: {node!r}")
 

@@ -35,6 +35,7 @@ from divaut.semiring import NATURAL, RATIONAL
 
 from conftest import (
     AB,
+    bi_word,
     enumerate_path_weight,
     finite,
     random_bi_word,
@@ -374,6 +375,33 @@ def test_conjoin3_then_disjoin3_round_trip():
         for i in (-2, 0, 1):
             for n in range(6):
                 assert one.at(i, n) == two.at(i, n)
+
+
+def test_disjoin3_parts_drop_dead_states():
+    # the middle input's third state and the reglued split parts' states off
+    # every endpoint-to-endpoint path must not pile up round after round
+    def part(*edges):
+        return Automaton.build(NATURAL, AB, 3, {0: 1}, {1: 1}, edges)
+
+    bridge = conjoin3(part((0, 1, "b", 1)),
+                      part((0, 2, "a", 2), (2, 2, "b", 1), (2, 1, "a", 1)),
+                      part((0, 1, "a", 3)))
+    chain = [bridge]
+    for _ in range(3):
+        chain.append(conjoin3(*disjoin3(chain[-1])))
+    assert [aut.num_states for aut in chain] == [5, 3, 3, 3]
+    word = bi_word("b", "abba", "a")
+    for aut in chain[1:]:
+        assert [BidivergingBehavior(aut, word).at(i, n) for i in (-1, 0) for n in range(6)] \
+            == [BidivergingBehavior(bridge, word).at(i, n) for i in (-1, 0) for n in range(6)]
+
+
+def test_disjoin3_zero_middle_keeps_both_endpoints():
+    apart = Automaton.build(NATURAL, AB, 3, {0: 1}, {1: 1},
+                            [(0, 0, "a", 1), (1, 1, "b", 1), (2, 1, "a", 1)])
+    _, middle, _ = disjoin3(apart)
+    assert middle.num_states == 2 and not list(middle.edges())
+    assert classify(middle) is AutomatonClass.NORMALIZED
 
 
 def test_disjoin3_rejects_loopback():

@@ -386,6 +386,34 @@ def test_quantum_expect_table(tmp_path, capsys):
     assert lines[-1] == "rate\t1"
 
 
+@pytest.mark.parametrize("order", [
+    "dn->dn, dn->up, up->dn, up->up",
+    "up->dn, dn->up, up->up, dn->dn",
+], ids=["sources-reordered", "targets-reordered"])
+def test_quantum_expect_accepts_a_reordered_operator_alphabet(tmp_path, capsys, order):
+    args = ["quantum", "expect", "--state", str(FIXTURES / "up_state.aut"), "--n", "3"]
+    fixture = FIXTURES / "magnetization.aut"
+    reordered = tmp_path / "mag.aut"
+    reordered.write_text(fixture.read_text().replace(
+        "alphabet: [up->up, up->dn, dn->up, dn->dn]", f"alphabet: [{order}]"))
+    expected = run(capsys, *args, "--operator", str(fixture))
+    assert expected[0] == 0
+    assert run(capsys, *args, "--operator", str(reordered)) == expected
+
+
+def test_quantum_expect_refuses_an_operator_over_other_symbols(tmp_path, capsys):
+    operator = tmp_path / "wide.aut"
+    operator.write_text("semiring: gaussian\nalphabet: [up->up, dn->dn, lf->lf]\n"
+                        "states: [s]\ninitial: {s: 1}\nfinal: {s: 1}\n"
+                        "transitions: [{from: s, to: s, symbol: lf->lf, weight: 1}]\n")
+    code, out, err = run(capsys, "quantum", "expect", "--state",
+                         str(FIXTURES / "up_state.aut"), "--operator", str(operator),
+                         "--n", "3")
+    assert (code, out) == (1, "")
+    assert err == ("error: operator reads ['up', 'dn', 'lf'] but state is over "
+                   "['up', 'dn']\n")
+
+
 def test_quantum_correlator_table(tmp_path, capsys):
     corr = tmp_path / "corr.aut"
     assert run(capsys, "quantum", "correlator", "--k", "1", "--out",

@@ -25,7 +25,8 @@ from divaut.automaton import (
     sum_automata,
 )
 from divaut.fileformat import format_automaton
-from divaut.semiring import NATURAL, RATIONAL
+from divaut.quantum import SPIN, SPIN_ENDO, apply_transducer, compose_transducers
+from divaut.semiring import GAUSSIAN, NATURAL, RATIONAL, gaussian
 
 from conftest import AB
 
@@ -57,7 +58,30 @@ MIXED = Automaton.build(RATIONAL, AB, 3, {0: Fraction(1, 2), 2: 2},
                          (2, 0, "b", 5), (2, 2, "a", Fraction(1, 4))],
                         state_names=("s", "t", "u"))
 
+# operator over the spin endomorphisms (no dn->up edge): initial state 1,
+# final states 2 and 0
+OP = Automaton.build(GAUSSIAN, SPIN_ENDO, 3, {1: gaussian(1, 2)},
+                     {2: gaussian(1), 0: gaussian(0, -1)},
+                     [(1, 0, "up->dn", gaussian(Fraction(1, 2))),
+                      (0, 2, "dn->dn", gaussian(0, 1)),
+                      (1, 2, "up->up", gaussian(-1)),
+                      (2, 2, "up->up", gaussian(1, 1)),
+                      (0, 0, "dn->dn", gaussian(3))])
+# operator with a dn->up edge and no dn->dn edge: initial state 1, final state 0
+INNER = Automaton.build(GAUSSIAN, SPIN_ENDO, 2, {1: gaussian(1)}, {0: gaussian(2, -1)},
+                        [(1, 0, "dn->up", gaussian(0, 1)),
+                         (1, 1, "up->dn", gaussian(Fraction(-1, 3))),
+                         (0, 0, "up->up", gaussian(2)),
+                         (0, 1, "dn->up", gaussian(1, -1))])
+# spin state: initial state 1, final states 0 and 1
+KET = Automaton.build(GAUSSIAN, SPIN, 2, {1: gaussian(2, -1)},
+                      {0: gaussian(Fraction(1, 3)), 1: gaussian(0, 1)},
+                      [(1, 0, "up", gaussian(1, 1)), (0, 0, "dn", gaussian(-2)),
+                       (0, 1, "up", gaussian(1)), (1, 1, "dn", gaussian(0, 3))])
+
 CONSTRUCTIONS = {
+    "apply_transducer": lambda: apply_transducer(OP, KET),
+    "compose_transducers": lambda: compose_transducers(OP, INNER),
     "roll": lambda: roll(X),
     "conjoin2": lambda: conjoin2(X, Y),
     "conjoin3": lambda: conjoin3(X, M, Y),

@@ -59,17 +59,19 @@ def test_properness_rules():
 
 def test_validate_rejects_improper_operands():
     atom = Atom("a", 1)
-    with pytest.raises(ImproperStar):
+    with pytest.raises(ImproperStar, match="^star needs a proper operand$"):
         validate(Star(Star(atom)))
-    with pytest.raises(ImproperStar):
+    with pytest.raises(ImproperStar, match="^omega needs a proper operand$"):
         validate(Omega(EPSILON))
-    with pytest.raises(ImproperStar):
+    with pytest.raises(ImproperStar, match="^conjoin needs proper operands$"):
         validate(Conjoin2(Star(atom), atom))
-    with pytest.raises(ImproperStar):
+    with pytest.raises(ImproperStar, match="^zeta needs a proper operand$"):
         validate(Zeta(Star(atom)))
-    with pytest.raises(ImproperStar):
+    with pytest.raises(ImproperStar, match="^conjoin3 needs proper operands$"):
         validate(Conjoin3(atom, Star(atom), atom))
     validate(Conjoin2(atom, atom))
+    with pytest.raises(TypeError):
+        validate(3)
 
 
 def test_expr_level():
