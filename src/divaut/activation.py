@@ -30,7 +30,10 @@ A semiring that cancels but is not a field has no exact rule and raises
 approximation for differential testing: prefix lengths (K/2, K], extents
 [K/2, K].  Every rule makes one pass per start row and reports for each row
 the set of end columns it activates; the field and horizon rules on
-two-sided words also make one pass per end column (heads x tails).
+two-sided words also make one pass per end column (heads x tails).  Over
+the fields, rows are integer numerators over one denominator (the lifted
+automaton): zero tests never reduce, and the masked evaluator reduces each
+value once.
 """
 from __future__ import annotations
 
@@ -288,6 +291,9 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     if bound is None and not sr.has_cancellation:
         return method, _pumped_reach(aut, word, rows, cols)
     d = aut.num_states
+    aut = aut._lifted()[0]  # a zero test is blind to scaling: never reduce
+    rows = [sr._clear(row)[1] for row in rows]
+    cols = [sr._clear(col)[1] for col in cols]
     if isinstance(word, UPInfiniteWord):
         if bound is not None:
             lo, hi = bound // 2 + 1, bound + 1
@@ -356,17 +362,19 @@ class _MaskedBehavior:
         self.word = word
         self.policy = policy
         self._verdict = activation_verdicts(aut, word, policy)
-        sr = aut.semiring
+        self._lift = aut._lifted()
+        lifted = self._lift[0]
+        sr = lifted.semiring
         live_finals = {}
         for (i, f), live in self._verdict.pairs.items():
             if live:
                 live_finals.setdefault(i, []).append(f)
         groups = {}  # live finals -> weighted sum of their initial states
         for i, ends in live_finals.items():
-            groups.setdefault(tuple(ends), [sr.zero] * aut.num_states)[i] = aut.initial[i]
+            groups.setdefault(tuple(ends), [sr.zero] * aut.num_states)[i] = lifted.initial[i]
         self._starts = [tuple(row) for row in groups.values()]
-        self._ends = [[(f, aut.final[f]) for f in ends] for ends in groups]
-        self._windows = {}  # window start -> (current rows, values so far)
+        self._ends = [[(f, lifted.final[f]) for f in ends] for ends in groups]
+        self._windows = {}  # window start -> [current rows, their scale, values so far]
 
     @property
     def verdict(self) -> ActivationVerdict:
@@ -375,16 +383,18 @@ class _MaskedBehavior:
     def _value(self, start: int, n: int):
         if n < 0:
             raise IndexError("window length must be a natural number")
-        aut = self.automaton
-        sr = aut.semiring
-        rows, values = self._windows.setdefault(start, (list(self._starts), []))
+        lifted, scales, end_scale = self._lift
+        sr = lifted.semiring
+        window = self._windows.setdefault(start, [list(self._starts), end_scale, []])
+        rows, values = window[0], window[2]
         while len(values) <= n:
             if values:
                 symbol = self.word.char_at(start + len(values) - 1)
-                rows[:] = [advance_row(aut, row, symbol) for row in rows]
-            values.append(sr.sum(sr.mul(row[f], w)
-                                 for row, ends in zip(rows, self._ends)
-                                 for f, w in ends))
+                rows[:] = [advance_row(lifted, row, symbol) for row in rows]
+                window[1] *= scales[symbol]
+            values.append(self.automaton.semiring._reduce(
+                sr.sum(sr.mul(row[f], w) for row, ends in zip(rows, self._ends)
+                       for f, w in ends), window[1]))
         return values[n]
 
 

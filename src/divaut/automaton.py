@@ -135,6 +135,23 @@ class Automaton:
             cache[symbol] = tuple(tuple(row) for row in dense)
         return cache[symbol]
 
+    def _lifted(self):
+        """``(lifted, scales, end_scale)``, cached like :meth:`matrix`: this
+        automaton over ``semiring._integers``, with M(s) times scales[s], the
+        least D_s that clears it, and end vectors cleared by factors whose
+        product is end_scale.  A word's denominator is end_scale . prod D_s."""
+        if "_lift" not in self.__dict__:
+            sr, scales, transitions = self.semiring, dict.fromkeys(self.alphabet, 1), {}
+            (first, initial), (last, final) = sr._clear(self.initial), sr._clear(self.final)
+            for symbol, rows in self.transitions.items():
+                scales[symbol], weights = sr._clear([w for row in rows for _, w in row])
+                it = iter(weights)
+                transitions[symbol] = tuple(tuple((j, next(it)) for j, _ in row) for row in rows)
+            lifted = self if sr._integers is sr else Automaton(
+                sr._integers, self.alphabet, self.num_states, initial, final, transitions)
+            object.__setattr__(self, "_lift", (lifted, scales, first * last))
+        return self.__dict__["_lift"]
+
     def edges(self):
         """Non-zero transitions as (src, dst, symbol, weight)."""
         for symbol in self.alphabet:
@@ -204,11 +221,12 @@ def _require_loopback(aut: Automaton):
 def converging_weight(aut: Automaton, word: FiniteWord):
     """Weight of a finite word: initial . M(w[0]) ... M(w[n-1]) . final."""
     require_same_alphabet(aut.alphabet, word.alphabet)
-    sr = aut.semiring
-    row = aut.initial
+    lifted, scales, scale = aut._lifted()
+    row = lifted.initial
     for symbol in word:
-        row = advance_row(aut, row, symbol)
-    return dot(sr, row, aut.final)
+        row = advance_row(lifted, row, symbol)
+        scale *= scales[symbol]
+    return aut.semiring._reduce(dot(lifted.semiring, row, lifted.final), scale)
 
 
 def zero_automaton(semiring: Semiring, alphabet: Alphabet) -> Automaton:

@@ -5,11 +5,17 @@ semiring, arbitrary-precision naturals, exact rationals, and Gaussian
 rationals (complex numbers with rational components).  All arithmetic is
 exact; nothing in this package ever rounds, because downstream acceptance
 decisions hinge on exact zero tests.
+
+Rows over the two fields are integer numerators over one denominator, in a
+private ring of integers (Z, Z[i]) kept out of ``SEMIRINGS``, and each value
+is reduced once.  Other semirings are their own integers, with scale 1.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DivautParseError, SemiringMismatch
 
@@ -120,6 +126,18 @@ class Semiring:
     def conjugate(self, a):
         return a
 
+    @property
+    def _integers(self):
+        return self
+
+    def _clear(self, values):
+        """(D, D * values): the least D > 0 taking a sequence into ``_integers``."""
+        return 1, tuple(values)
+
+    def _reduce(self, numerator, scale):
+        """``numerator / scale`` back in this semiring: undoes ``_clear``."""
+        return numerator
+
     def check(self, value):
         """Validate/coerce an externally supplied value; raises TypeError."""
         raise NotImplementedError
@@ -175,18 +193,18 @@ class BooleanSemiring(Semiring):
         return "T" if value else "F"
 
 
-class NaturalSemiring(Semiring):
+class _Numeric(Semiring):
+    """Adds and multiplies with Python's own + and *."""
+
+    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
+
+
+class NaturalSemiring(_Numeric):
     name = "natural"
     has_cancellation = False
     is_field = False
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
 
     def check(self, value):
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -202,18 +220,29 @@ class NaturalSemiring(Semiring):
         return str(value)
 
 
-class RationalSemiring(Semiring):
+class _Integers(_Numeric):
+    """Z or Z[i], the ring of integers of a field."""
+
+    has_cancellation, is_field = True, False
+
+    def __init__(self, name, zero, one):
+        self.name, self.zero, self.one = name, zero, one
+
+
+class RationalSemiring(_Numeric):
     name = "rational"
     has_cancellation = True
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
+    _integers = _Integers("integer", 0, 1)
 
-    def add(self, a, b):
-        return a + b
+    def _clear(self, values):
+        scale = lcm(*(v.denominator for v in values))
+        return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
-    def mul(self, a, b):
-        return a * b
+    def _reduce(self, numerator, scale):
+        return Fraction(numerator, scale)
 
     def check(self, value):
         if isinstance(value, bool):
@@ -234,25 +263,27 @@ class RationalSemiring(Semiring):
         return _format_fraction(value)
 
 
-class GaussianRationalSemiring(Semiring):
+class GaussianRationalSemiring(_Numeric):
     name = "gaussian"
     has_cancellation = True
     is_field = True
     zero = GaussianRational(Fraction(0), Fraction(0))
     one = GaussianRational(Fraction(1), Fraction(0))
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
+    _integers = _Integers("gaussian-integer", GaussianRational(0, 0), GaussianRational(1, 0))
 
     def conjugate(self, a):
         return a.conjugate()
 
+    def _clear(self, values):
+        scale, parts = RATIONAL._clear([p for v in values for p in (v.real, v.imag)])
+        return scale, tuple(map(GaussianRational, parts[::2], parts[1::2]))
+
+    def _reduce(self, numerator, scale):
+        return GaussianRational(Fraction(numerator.real, scale), Fraction(numerator.imag, scale))
+
     def check(self, value):
         if isinstance(value, GaussianRational):
-            return value
+            return GaussianRational(RATIONAL.check(value.real), RATIONAL.check(value.imag))
         if isinstance(value, bool):
             raise TypeError("gaussian semiring got a bool")
         if isinstance(value, (int, Fraction)):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from divaut.automaton import Automaton
-from divaut.semiring import BOOLEAN, NATURAL, RATIONAL
+from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, gaussian
 from divaut.series import Atom, Cat, Conjoin2, Conjoin3, Omega, Scale, Star, Sum, Zeta
 from divaut.words import (
     Alphabet,
@@ -92,30 +92,38 @@ def random_fraction(rng, allow_zero=True):
     return Fraction(num, rng.randint(1, 3))
 
 
-def random_rational_automaton(rng, max_states=4, alphabet=AB, density=0.4):
+def random_gaussian(rng):
+    """A Gaussian rational with small parts; half of them are real."""
+    imag = random_fraction(rng) if rng.random() < 0.5 else 0
+    return gaussian(random_fraction(rng), imag)
+
+
+def _random_automaton(rng, sr, edge_weight, end_weight, max_states, alphabet, density):
     n = rng.randint(1, max_states)
     edges = []
     for symbol in alphabet.symbols:
         for i in range(n):
             for j in range(n):
                 if rng.random() < density:
-                    edges.append((i, j, symbol, random_fraction(rng)))
-    initial = {i: random_fraction(rng) for i in range(n) if rng.random() < 0.7}
-    final = {i: random_fraction(rng) for i in range(n) if rng.random() < 0.7}
-    return Automaton.build(RATIONAL, alphabet, n, initial, final, edges)
+                    edges.append((i, j, symbol, edge_weight()))
+    initial = {i: end_weight() for i in range(n) if rng.random() < 0.7}
+    final = {i: end_weight() for i in range(n) if rng.random() < 0.7}
+    return Automaton.build(sr, alphabet, n, initial, final, edges)
+
+
+def random_rational_automaton(rng, max_states=4, alphabet=AB, density=0.4):
+    weight = lambda: random_fraction(rng)
+    return _random_automaton(rng, RATIONAL, weight, weight, max_states, alphabet, density)
+
+
+def random_gaussian_automaton(rng, max_states=4, alphabet=AB, density=0.4):
+    weight = lambda: random_gaussian(rng)
+    return _random_automaton(rng, GAUSSIAN, weight, weight, max_states, alphabet, density)
 
 
 def random_natural_automaton(rng, max_states=4, alphabet=AB, density=0.4):
-    n = rng.randint(1, max_states)
-    edges = []
-    for symbol in alphabet.symbols:
-        for i in range(n):
-            for j in range(n):
-                if rng.random() < density:
-                    edges.append((i, j, symbol, rng.randint(1, 3)))
-    initial = {i: rng.randint(1, 2) for i in range(n) if rng.random() < 0.7}
-    final = {i: rng.randint(1, 2) for i in range(n) if rng.random() < 0.7}
-    return Automaton.build(NATURAL, alphabet, n, initial, final, edges)
+    return _random_automaton(rng, NATURAL, lambda: rng.randint(1, 3),
+                             lambda: rng.randint(1, 2), max_states, alphabet, density)
 
 
 def random_finite_word(rng, max_len=8, alphabet=AB):

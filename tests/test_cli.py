@@ -671,3 +671,12 @@ def test_conjoin3_disjoin3_round_trip(tmp_path, capsys):
             [BidivergingBehavior(two, word).at(i, n) for i in range(-2, 3)
              for n in range(8)]
     assert any(BidivergingBehavior(one, bi_word("b", "abba", "a")).at(0, n) for n in range(8))
+
+
+def test_rational_fixture_table_matches_its_golden(capsys):
+    # the README quick-start table over the rationals; the golden was written
+    # by the Fraction-row evaluator, so it pins the exact values byte for byte
+    golden = Path(__file__).parent / "golden" / "eval_cancelling.txt"
+    code, out, err = run(capsys, "eval", str(FIXTURES / "cancelling.aut"),
+                         "--word", "( a b )^w", "--n-max", "6")
+    assert (code, out, err) == (0, golden.read_text(), "")

@@ -1,0 +1,258 @@
+"""Integer rows against Fraction rows.
+
+Over the rationals and the Gaussian rationals every row walk runs on the
+lifted automaton: integer numerators under one denominator, reduced once per
+value.  These tests recompute tables, verdicts and word weights with
+Fraction / GaussianRational rows, stepped by ``advance_row`` on the
+automaton itself, and ask for the same values, and the same printed bytes.
+"""
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import divaut
+from divaut import activation, automaton, cli, fileformat, kleene, quantum, semiring, series
+from divaut import words
+from divaut.activation import (
+    AUTO,
+    BidivergingBehavior,
+    DivergingBehavior,
+    activation_verdicts,
+    horizon,
+)
+from divaut.automaton import Automaton, advance_row, converging_weight, dot
+from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, gaussian
+from divaut.words import UPInfiniteWord
+
+from conftest import (
+    AB,
+    bi_word,
+    enumerate_path_weight,
+    random_finite_word,
+    random_gaussian,
+    random_gaussian_automaton,
+    random_natural_automaton,
+    random_rational_automaton,
+    random_bi_word,
+    random_up_word,
+    up_word,
+)
+
+MERSENNE = 2 ** 61 - 1
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def random_automaton(rng, sr):
+    """Up to 3 states, plus for the fields one twin state whose paths cancel
+    the original's exactly and one edge over 2^61 - 1."""
+    if sr in (BOOLEAN, NATURAL):
+        aut = random_natural_automaton(rng, max_states=3, density=0.6)
+        if sr is NATURAL:
+            return aut
+        return Automaton.build(BOOLEAN, AB, aut.num_states,
+                               {i: True for i in aut.initial_states()},
+                               {f: True for f in aut.final_states()},
+                               [(i, j, s, True) for i, j, s, _ in aut.edges()])
+    make, weight = ((random_rational_automaton, lambda: Fraction(rng.randint(-3, 3), 4))
+                    if sr is RATIONAL else (random_gaussian_automaton, lambda: random_gaussian(rng)))
+    aut = make(rng, max_states=3, density=0.6)
+    n = aut.num_states
+    edges = list(aut.edges())
+    # twin: state n copies state j's way out, entered with -w where j gets w
+    j, i = rng.randrange(n), rng.randrange(n)
+    edges += [(n, k, s, w) for src, k, s, w in aut.edges() if src == j]
+    w, s = weight() or sr.one, rng.choice("ab")
+    edges += [(i, j, s, w), (i, n, s, -w)]
+    edges.append((rng.randrange(n), rng.randrange(n), rng.choice("ab"),
+                  sr.mul(sr.check(rng.choice([1, -1, 2])), sr.check(Fraction(1, MERSENNE)))))
+    final = dict(enumerate(aut.final))
+    final[n] = aut.final[j]
+    return Automaton.build(sr, AB, n + 1, dict(enumerate(aut.initial)), final, edges)
+
+
+def random_word(rng, shape):
+    if shape == "one-sided":
+        return random_up_word(rng)
+    if shape == "two-sided":
+        return random_bi_word(rng)
+    cycle = [rng.choice("ab") for _ in range(rng.randint(1, 3))]
+    return bi_word(cycle, cycle, cycle)  # purely periodic
+
+
+# ---------------------------------------------------------------------------
+# the reference: Fraction rows on the automaton as given
+
+def unit(aut, state):
+    sr = aut.semiring
+    return tuple(sr.one if s == state else sr.zero for s in range(aut.num_states))
+
+
+def walk(aut, row, symbols):
+    for symbol in symbols:
+        row = advance_row(aut, row, symbol)
+    return row
+
+
+def nonzero(aut, row):
+    return {f for f, value in enumerate(row) if not aut.semiring.is_zero(value)}
+
+
+def one_sided_live(aut, word, start, lo, hi):
+    row, live = unit(aut, start), set()
+    for n in range(hi):
+        if n >= lo:
+            live |= nonzero(aut, row)
+        row = advance_row(aut, row, word.char_at(n))
+    return live
+
+
+def reference_live(aut, word, policy, start):
+    """The end states that the window rules find live from ``start``."""
+    d = aut.num_states
+    bound = policy.horizon if policy.kind == "horizon" else None
+    if isinstance(word, UPInfiniteWord):
+        lo = bound // 2 + 1 if bound else len(word.prefix) + d * len(word.cycle)
+        hi = bound + 1 if bound else lo + d * len(word.cycle)
+        return one_sided_live(aut, word, start, lo, hi)
+    rays = [] if bound else activation._rotations(word)
+    if rays:
+        lo = d * len(rays)
+        return set().union(*(one_sided_live(aut, ray, start, lo, 2 * lo) for ray in rays))
+    left, right = word.left, word.right
+    lefts = range(max(1, bound // 2), bound + 1) if bound else \
+        range(d * len(left), 2 * d * len(left))
+    rights = lefts if bound else range(d * len(right), 2 * d * len(right))
+    live = set()
+    for e in lefts:
+        row = walk(aut, unit(aut, start),
+                   [left[(k - e) % len(left)] for k in range(e)] + list(word.center))
+        for g in range(rights.stop):
+            if g in rights:
+                live |= nonzero(aut, row)
+            row = advance_row(aut, row, right[g % len(right)])
+    return live
+
+
+def reference_pairs(aut, word, policy):
+    live = {i: reference_live(aut, word, policy, i) for i in aut.initial_states()}
+    return {(i, f): f in live[i] for i in aut.initial_states() for f in aut.final_states()}
+
+
+def reference_value(aut, pairs, word, start, n):
+    sr = aut.semiring
+    total = sr.zero
+    for i in aut.initial_states():
+        row = walk(aut, unit(aut, i), [word.char_at(start + k) for k in range(n)])
+        for f in aut.final_states():
+            if pairs[(i, f)]:
+                total = sr.add(total, sr.mul(sr.mul(aut.initial[i], row[f]), aut.final[f]))
+    return total
+
+
+def same(sr, got, want):
+    return got == want and sr.format(got) == sr.format(want)
+
+
+SEMIRINGS = [BOOLEAN, NATURAL, RATIONAL, GAUSSIAN]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(SEMIRINGS),
+       st.sampled_from(["one-sided", "two-sided", "periodic"]), st.integers(2, 12))
+def test_integer_rows_match_fraction_rows(seed, sr, shape, bound):
+    rng = random.Random(seed)
+    aut = random_automaton(rng, sr)
+    word = random_word(rng, shape)
+    pairs = reference_pairs(aut, word, AUTO)
+    assert activation_verdicts(aut, word, AUTO).pairs == pairs
+    assert activation_verdicts(aut, word, horizon(bound)).pairs == \
+        reference_pairs(aut, word, horizon(bound))
+    if isinstance(word, UPInfiniteWord):
+        behavior = DivergingBehavior(aut, word)
+        got = [(0, n, behavior.at(n)) for n in range(10)]
+    else:
+        behavior = BidivergingBehavior(aut, word)
+        got = [(i, n, behavior.at(i, n)) for i in (-2, 0, 3) for n in range(8)]
+    for i, n, value in got:
+        assert same(sr, value, reference_value(aut, pairs, word, i, n)), (i, n)
+    for _ in range(3):
+        finite = random_finite_word(rng, max_len=8)
+        want = dot(sr, walk(aut, aut.initial, finite), aut.final)
+        assert same(sr, converging_weight(aut, finite), want)
+    short = random_finite_word(rng, max_len=3)
+    assert same(sr, converging_weight(aut, short), enumerate_path_weight(aut, short))
+
+
+def test_each_symbol_has_its_own_scale():
+    aut = Automaton.build(RATIONAL, AB, 2, {0: Fraction(1, 3)}, {1: Fraction(3, 4)},
+                          [(0, 1, "a", Fraction(1, MERSENNE)), (1, 0, "b", Fraction(-2, 3)),
+                           (1, 1, "a", Fraction(1, 2))])
+    lifted, scales, end_scale = aut._lifted()
+    assert (scales, end_scale) == ({"a": 2 * MERSENNE, "b": 3}, 3 * 4)
+    assert lifted.semiring is RATIONAL._integers
+    assert sorted(lifted.edges()) == [(0, 1, "a", 2), (1, 0, "b", -2), (1, 1, "a", MERSENNE)]
+    word = up_word("", "ab")
+    behavior = DivergingBehavior(aut, word)
+    assert [behavior.at(n) for n in range(6)] == \
+        [reference_value(aut, {(0, 1): True}, word, 0, n) for n in range(6)]
+    natural = random_natural_automaton(random.Random(1))
+    assert natural._lifted() == (natural, dict.fromkeys(AB, 1), 1)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark counts rows through the module bindings of advance_row
+
+@pytest.fixture
+def row_counter(monkeypatch):
+    """The automata advance_row is called on, recorded by patching every
+    binding of it in divaut's modules, as the benchmark's tracer does."""
+    original = automaton.advance_row
+    calls = []
+
+    def counted(aut, row, symbol):
+        calls.append(aut)
+        return original(aut, row, symbol)
+
+    for module in (divaut, activation, automaton, cli, fileformat, kleene, quantum,
+                   semiring, series, words):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+GAUSSIAN_FILE = """semiring: gaussian
+alphabet: [a, b]
+states: [p, q]
+initial: {p: 1/2+1i}
+final: {q: -1/3i}
+transitions: [
+  {from: p, to: q, symbol: a, weight: 1-1/2i},
+  {from: q, to: p, symbol: b, weight: 2/3},
+  {from: q, to: q, symbol: a, weight: 1/4i},
+]
+"""
+
+
+@pytest.mark.parametrize("sr", [RATIONAL, GAUSSIAN], ids=lambda sr: sr.name)
+def test_field_tables_step_through_advance_row(row_counter, tmp_path, capsys, sr):
+    path = FIXTURES / "cancelling.aut"
+    if sr is GAUSSIAN:
+        path = tmp_path / "g.aut"
+        path.write_text(GAUSSIAN_FILE)
+    rows = 60
+    assert cli.main(["eval", str(path), "--word", "( a b )^w", "--n-max", str(rows - 1)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows
+    assert len(row_counter) >= rows
+    assert all(aut.semiring is sr._integers for aut in row_counter)
+
+
+def test_advance_row_still_takes_fraction_rows():
+    aut = Automaton.build(RATIONAL, AB, 2, {0: 1}, {1: 1},
+                          [(0, 1, "a", Fraction(1, 2)), (0, 0, "a", Fraction(-2, 3))])
+    assert advance_row(aut, (Fraction(3), Fraction(1, 5)), "a") == \
+        (Fraction(-2), Fraction(3, 2))
+    assert advance_row(aut, (Fraction(3), Fraction(1, 5)), "b") == (0, 0)

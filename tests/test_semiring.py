@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from divaut.semiring import (
     GAUSSIAN,
     NATURAL,
     RATIONAL,
+    SEMIRINGS,
     GaussianRational,
     WeightSequence,
     gaussian,
@@ -94,6 +96,47 @@ def test_semiring_registry():
     assert semiring_by_name("natural") is NATURAL
     with pytest.raises(DivautParseError):
         semiring_by_name("tropical")
+
+
+def test_gaussian_check_coerces_int_parts_and_plain_numbers():
+    checked = GAUSSIAN.check(GaussianRational(3, -1))
+    assert checked == gaussian(3, -1)
+    assert type(checked.real) is Fraction and type(checked.imag) is Fraction
+    for plain in (2, Fraction(-1, 3)):
+        checked = GAUSSIAN.check(plain)
+        assert checked == gaussian(plain)
+        assert type(checked.real) is Fraction and type(checked.imag) is Fraction
+
+
+@pytest.mark.parametrize("value", [GaussianRational(0.1, 0), GaussianRational(0, 2.0),
+                                   GaussianRational(True, 0), GaussianRational(0, False)],
+                         ids=["float-real", "float-imag", "bool-real", "bool-imag"])
+def test_gaussian_check_refuses_float_and_bool_parts(value):
+    with pytest.raises(TypeError, match="rational semiring"):
+        GAUSSIAN.check(value)
+
+
+@pytest.mark.parametrize("sr,strategy", VALUE_STRATEGIES,
+                         ids=lambda v: getattr(v, "name", ""))
+def test_clear_and_reduce_invert_each_other(sr, strategy):
+    @settings(max_examples=60)
+    @given(st.lists(strategy, max_size=5))
+    def round_trip(values):
+        scale, numerators = sr._clear(values)
+        assert [sr._reduce(n, scale) for n in numerators] == values
+        if sr.is_field:  # the least scale: it shares no factor with every numerator
+            parts = [p for n in numerators for p in (n.real, n.imag)] \
+                if sr is GAUSSIAN else list(numerators)
+            assert all(type(p) is int for p in parts)
+            assert gcd(scale, *parts) == 1
+        else:
+            assert scale == 1
+
+    round_trip()
+    # a field's integers are private: no file can name them
+    assert (sr._integers is sr) is not sr.is_field
+    assert (sr._integers in SEMIRINGS.values()) is not sr.is_field
+
 
 
 def test_seq_add_identity():
