@@ -37,18 +37,17 @@ value once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from ._record import Record
 from .automaton import Automaton, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import BOOLEAN, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
 
 
-@dataclass(frozen=True)
-class ActivationPolicy:
+class ActivationPolicy(Record):
     """auto (spelled ``exact`` too): the exact rule of the semiring.
     horizon: scan windows up to the given bound instead."""
 
@@ -77,8 +76,7 @@ def horizon(bound: int) -> ActivationPolicy:
     return ActivationPolicy("horizon", bound)
 
 
-@dataclass(frozen=True)
-class ActivationVerdict:
+class ActivationVerdict(Record):
     """Per-pair activation outcomes plus the method that produced them."""
 
     pairs: dict  # (initial_state, final_state) -> bool

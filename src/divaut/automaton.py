@@ -9,8 +9,8 @@ evaluated with the activation mask (see :mod:`divaut.activation`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import (
     EmptyWordAccepted,
     NotLoopback,
@@ -50,8 +50,7 @@ class AutomatonClass(enum.Enum):
     BRIDGE = "bridge"
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Record):
     """States are the integers 0..num_states-1.  ``initial`` and ``final``
     are weight vectors; a state counts as initial/final when its weight is
     non-zero.  ``transitions`` maps each symbol to a per-state adjacency
@@ -64,7 +63,7 @@ class Automaton:
     initial: tuple
     final: tuple
     transitions: dict
-    state_names: tuple = field(default=None)
+    state_names: tuple = None
 
     @classmethod
     def build(cls, semiring, alphabet, num_states, initial, final, edges=(),
@@ -461,8 +460,7 @@ def disjoin3(aut: Automaton):
     return unroll(head), middle, unroll(_pointed(aut, final, final))
 
 
-@dataclass(frozen=True)
-class WeightedSumDecomposition:
+class WeightedSumDecomposition(Record):
     """Finite family (left coefficient, part, right coefficient) whose
     weighted behavior sum equals the behavior of the source automaton."""
 

@@ -6,6 +6,8 @@ semirings, unsupported activation, ...), 2 on parse errors.
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import random
 import sys
 from pathlib import Path
@@ -256,11 +258,12 @@ def _evaluator(obj, level, policy, chi):
     contexts = {}
 
     def f(word, i, n):
-        if word not in contexts:
-            contexts[word] = context(word)
+        evaluation = contexts.get(word)
+        if evaluation is None:
+            evaluation = contexts[word] = context(word)
         if level == "div":
-            return contexts[word].at(n)
-        return contexts[word].at(i, n)
+            return evaluation.at(n)
+        return evaluation.at(i, n)
     return sr, alphabet, f
 
 
@@ -487,5 +490,41 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """Process entry point of ``python -m divaut`` and the ``divaut``
+    script: runs :func:`main` and exits with its code, skipping interpreter
+    teardown.
+
+    The exit goes through an ``atexit`` handler, so it comes after a
+    profiler has printed its report and after ``coverage run`` has saved its
+    data.  The handler flushes stdout and stderr and then ends the process
+    with ``os._exit``; if a flush raises, it returns and normal finalization
+    reports the error.  A closed stdout pipe exits 1 with nothing on stderr.
+    """
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 1
+    atexit.register(_exit_without_teardown, code)
+    sys.exit(code)
+
+
+def _exit_without_teardown(code):
+    # a stream is None when the process started with that descriptor closed
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1  # the reader has gone; os._exit drops what is still buffered
+    except (OSError, ValueError):
+        return
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except (OSError, ValueError):
+        return
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, fields
 
+from ._record import Record
 from .automaton import Automaton
 from .errors import DivautParseError
 from .semiring import Semiring, semiring_by_name
@@ -57,14 +57,14 @@ def tokenize(text: str):
 
 
 # The expression syntax: one head per node class.  A node's arguments are
-# its dataclass fields in order, read and written by their annotation
+# its record fields in order, read and written by their annotation
 # (strings, as series.py postpones annotations): "Expr" a subexpression,
 # "str" a symbol, "object" a coefficient, "tuple" any number of
 # subexpressions.
 _HEADS = {"sym": Atom, "sum": Sum, "cat": Cat, "star": Star, "scale": Scale,
           "omega": Omega, "conjoin": Conjoin2, "zeta": Zeta, "conjoin3": Conjoin3}
 _HEAD_OF = {cls: head for head, cls in _HEADS.items()}
-_ARGS = {cls: tuple((f.name, f.type) for f in fields(cls)) for cls in _HEAD_OF}
+_ARGS = {cls: tuple(cls._fields.items()) for cls in _HEAD_OF}
 
 
 class _Reader:
@@ -301,8 +301,7 @@ def format_automaton(aut: Automaton) -> str:
 # ---------------------------------------------------------------------------
 # expression files
 
-@dataclass(frozen=True)
-class ExpressionFile:
+class ExpressionFile(Record):
     semiring: Semiring
     alphabet: Alphabet
     expr: Expr

@@ -11,8 +11,7 @@ window size n: the value on any n contiguous bulk sites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .activation import AUTO, ActivationPolicy, BidivergingBehavior
 from .automaton import Automaton
 from .errors import AlphabetMismatch, SemiringMismatch
@@ -192,8 +191,7 @@ def norm_sequence(state: Automaton, policy: ActivationPolicy = AUTO) -> ScalarSe
     return ScalarSequence(apply_transducer(dual(state), state), policy)
 
 
-@dataclass(frozen=True)
-class ExpectedValue:
+class ExpectedValue(Record):
     """Numerator and denominator sequences of a pointwise-ratio expected
     value; the ratio is partial (undefined where the denominator vanishes)."""
 

@@ -13,19 +13,41 @@ is reduced once.  Other semirings are their own integers, with scale 1.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import DivautParseError, SemiringMismatch
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """a + b*i with exact rational real and imaginary parts."""
+    """a + b*i with exact rational real and imaginary parts; immutable.
 
-    real: Fraction
-    imag: Fraction
+    Written out by hand rather than as a record: every row step over Q(i)
+    and Z[i] builds and compares these.
+    """
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        _set_real(self, real)
+        _set_imag(self, imag)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.real == other.real and self.imag == other.imag
+
+    def __hash__(self):
+        return hash((self.real, self.imag))
+
+    def __repr__(self):
+        return f"GaussianRational(real={self.real!r}, imag={self.imag!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __add__(self, other):
         other = _as_gaussian(other)
@@ -77,8 +99,14 @@ class GaussianRational:
         return format_gaussian(self)
 
 
+# the slots' own setters, which the refusing __setattr__ leaves to __init__
+_set_real, _set_imag = GaussianRational.real.__set__, GaussianRational.imag.__set__
+
+
 def gaussian(real, imag=0) -> GaussianRational:
-    return GaussianRational(Fraction(real), Fraction(imag))
+    """real + imag*i from int or Fraction parts; a float or bool part
+    raises TypeError."""
+    return GaussianRational(RATIONAL.check(real), RATIONAL.check(imag))
 
 
 def _as_gaussian(value) -> GaussianRational:
@@ -283,7 +311,7 @@ class GaussianRationalSemiring(_Numeric):
 
     def check(self, value):
         if isinstance(value, GaussianRational):
-            return GaussianRational(RATIONAL.check(value.real), RATIONAL.check(value.imag))
+            return gaussian(value.real, value.imag)
         if isinstance(value, bool):
             raise TypeError("gaussian semiring got a bool")
         if isinstance(value, (int, Fraction)):

@@ -7,27 +7,24 @@ and never builds one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
+from ._record import Record
 from .activation import AUTO, ActivationPolicy, _decide
 from .errors import ImproperStar
 from .semiring import Semiring
 from .words import BiInfiniteWord, FiniteWord, UPInfiniteWord
 
 
-class Expr:
+class Expr(Record):
     """Base class for all series expressions."""
 
 
 # converging layer -----------------------------------------------------------
 
-@dataclass(frozen=True)
 class Atom(Expr):
     symbol: str
     coeff: object
 
 
-@dataclass(frozen=True)
 class Sum(Expr):
     terms: tuple
 
@@ -35,18 +32,15 @@ class Sum(Expr):
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
-@dataclass(frozen=True)
 class Cat(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Star(Expr):
     inner: Expr
 
 
-@dataclass(frozen=True)
 class Scale(Expr):
     left_coeff: object
     inner: Expr
@@ -55,12 +49,10 @@ class Scale(Expr):
 
 # diverging layer ------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Omega(Expr):
     inner: Expr  # proper converging
 
 
-@dataclass(frozen=True)
 class Conjoin2(Expr):
     first: Expr  # proper converging
     second: Expr
@@ -68,12 +60,10 @@ class Conjoin2(Expr):
 
 # bidiverging layer ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class Zeta(Expr):
     inner: Expr
 
 
-@dataclass(frozen=True)
 class Conjoin3(Expr):
     first: Expr
     middle: Expr
@@ -117,7 +107,7 @@ def _operands(e: Expr) -> tuple:
         return e.terms
     if not isinstance(e, Expr):
         raise TypeError(f"not a series expression: {e!r}")
-    return tuple(getattr(e, f.name) for f in fields(e) if f.type == "Expr")
+    return tuple(getattr(e, name) for name, kind in e._fields.items() if kind == "Expr")
 
 
 def expr_level(e: Expr) -> str:
@@ -318,8 +308,7 @@ def bidiv_coeff(sr: Semiring, e: Expr, word: BiInfiniteWord, i: int, n: int,
 # ---------------------------------------------------------------------------
 # characteristic form
 
-@dataclass(frozen=True)
-class CharacteristicForm:
+class CharacteristicForm(Record):
     """Any rational diverging series is a finite sum of scaled conjoins plus
     scaled omega terms (likewise with 3-way conjoins and zeta terms for the
     bidiverging level); this is the flattened two-list shape."""

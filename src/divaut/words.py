@@ -7,14 +7,13 @@ them (slicing, shifting, concatenation with a finite prefix).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
 
+from ._record import Record
 from .errors import AlphabetMismatch, DivautParseError, UnknownSymbol
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     symbols: tuple
 
     def __post_init__(self):
@@ -47,8 +46,7 @@ def _check_symbols(alphabet, symbols):
     return tuple(symbols)
 
 
-@dataclass(frozen=True)
-class FiniteWord:
+class FiniteWord(Record):
     alphabet: Alphabet
     symbols: tuple
 
@@ -70,8 +68,7 @@ class FiniteWord:
         return slice_word(self, start, end)
 
 
-@dataclass(frozen=True)
-class UPInfiniteWord:
+class UPInfiniteWord(Record):
     """Ultimately periodic infinite word: finite prefix, then a repeated cycle."""
 
     alphabet: Alphabet
@@ -95,8 +92,7 @@ class UPInfiniteWord:
         return slice_word(self, start, end)
 
 
-@dataclass(frozen=True)
-class BiInfiniteWord:
+class BiInfiniteWord(Record):
     """Biinfinite word ``l^~w m r^w``.
 
     With ``origin`` 0 the first character of the center block sits at
@@ -109,7 +105,7 @@ class BiInfiniteWord:
     left: tuple
     center: tuple
     right: tuple
-    origin: int = field(default=0)
+    origin: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "left", _check_symbols(self.alphabet, self.left))

@@ -116,6 +116,14 @@ def test_gaussian_check_refuses_float_and_bool_parts(value):
         GAUSSIAN.check(value)
 
 
+@pytest.mark.parametrize("parts", [(0.1,), (1, 0.5), (True,)],
+                         ids=["float-real", "float-imag", "bool-real"])
+def test_gaussian_refuses_float_and_bool_parts(parts):
+    with pytest.raises(TypeError, match="rational semiring"):
+        gaussian(*parts)
+    value = gaussian(1, -2)
+    assert type(value.real) is Fraction and type(value.imag) is Fraction
+
 @pytest.mark.parametrize("sr,strategy", VALUE_STRATEGIES,
                          ids=lambda v: getattr(v, "name", ""))
 def test_clear_and_reduce_invert_each_other(sr, strategy):
