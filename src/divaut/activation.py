@@ -32,8 +32,10 @@ approximation for differential testing: prefix lengths (K/2, K], extents
 the set of end columns it activates; the field and horizon rules on
 two-sided words also make one pass per end column (heads x tails).  Over
 the fields, rows are integer numerators over one denominator (the lifted
-automaton): zero tests never reduce, and the masked evaluator reduces each
-value once.
+automaton), and an end vector is one integer column per numerator of a
+value: a Q(i) row is its real and imaginary integer rows side by side, and
+a Q(i) end vector two columns, for the real and the imaginary part.  Zero
+tests never reduce, and the masked evaluator reduces each value once.
 """
 from __future__ import annotations
 
@@ -174,22 +176,27 @@ def _pumped_reach(aut, word, rows, cols) -> list:
 # ---------------------------------------------------------------------------
 # fields and bounded horizons: value walks over windows
 
-def _walk(aut, word, row, cols, lo: int, hi: int) -> set:
-    """Indices c with row . M(w[0..n]) . cols[c] non-zero for some n in
-    [lo, hi): one advance_row walk, reading every column at each position.
+def _sparse(sr, vec):
+    return [(j, w) for j, w in enumerate(vec) if not sr.is_zero(w)]
+
+
+def _walk(aut, word, row, ends, lo: int, hi: int) -> set:
+    """Indices c such that row . M(w[0..n]) . col is non-zero for a column
+    col of ends[c] and some n in [lo, hi): one advance_row walk, reading
+    every column at each position until each end is live.
 
     Over a field the window [|u| + d|v|, |u| + 2d|v|) is exact: it is the
     recurrence indices [d, 2d) of every residue of the cycle length.
     """
     sr = aut.semiring
-    pending = {c: [(j, w) for j, w in enumerate(col) if not sr.is_zero(w)]
-               for c, col in enumerate(cols)}
+    pending = {c: [_sparse(sr, col) for col in cols] for c, cols in enumerate(ends)}
     live = set()
     current = row
     for n in range(hi):
         if n >= lo:
-            for c, col in list(pending.items()):
-                if not sr.is_zero(sr.sum(sr.mul(current[j], w) for j, w in col)):
+            for c, cols in list(pending.items()):
+                if any(not sr.is_zero(sr.sum(sr.mul(current[j], w) for j, w in col))
+                       for col in cols):
                     live.add(c)
                     del pending[c]
             if not pending:
@@ -226,18 +233,19 @@ def _extent_vectors(aut, step, vec, cycle, extents):
                 yield current
 
 
-def _extent_walks(aut, word, rows, cols, left_extents, right_extents) -> list:
+def _extent_walks(aut, word, rows, ends, left_extents, right_extents) -> list:
     """Two-sided decision over the windows reaching e symbols left and g
     symbols right of the center, for e and g in the given extents.
 
     Such a window sums to head . tail, with head = row . M(w[-e..0)) . M(m)
-    and tail = M(w[|m|..|m| + g)) . col; heads are row walks along the left
-    cycle and tails column walks along the reversed right cycle.
+    and tail = M(w[|m|..|m| + g)) . col for a column col of an end; heads
+    are row walks along the left cycle and tails column walks along the
+    reversed right cycle.
     """
     sr = aut.semiring
-    tails = [[[(j, w) for j, w in enumerate(t) if not sr.is_zero(w)]
+    tails = [[_sparse(sr, t) for col in cols
               for t in _extent_vectors(aut, _col_step, col, word.right[::-1], right_extents)]
-             for col in cols]
+             for cols in ends]
     live = []
     for row in rows:
         heads = [_steps(aut, advance_row, h, word.center)
@@ -269,6 +277,12 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
 
     The method is resolved once for the semiring and the policy; it refuses
     only when some pair must be decided.
+
+    Over a field the walks run on the lifted integer automaton, and an end
+    vector is live iff one of its integer columns is.  The exact windows
+    keep d, the state count of ``aut``, even where a Q(i) state lifts to
+    two integer entries: the complex sums satisfy a recurrence of order d,
+    and the two integers are only their coordinates.
     """
     sr = aut.semiring
     bound = policy.horizon if policy.kind == "horizon" else None
@@ -290,25 +304,25 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
         return method, _pumped_reach(aut, word, rows, cols)
     d = aut.num_states
     aut = aut._lifted()[0]  # a zero test is blind to scaling: never reduce
-    rows = [sr._clear(row)[1] for row in rows]
-    cols = [sr._clear(col)[1] for col in cols]
+    rows = sr._clear(rows)[1]
+    ends = list(zip(*sr._clear_ends(cols)[1]))  # per end vector: its integer columns
     if isinstance(word, UPInfiniteWord):
         if bound is not None:
             lo, hi = bound // 2 + 1, bound + 1
         else:
             lo = len(word.prefix) + d * len(word.cycle)
             hi = lo + d * len(word.cycle)
-        return method, [_walk(aut, word, row, cols, lo, hi) for row in rows]
+        return method, [_walk(aut, word, row, ends, lo, hi) for row in rows]
     if bound is not None:
         left = right = range(max(1, bound // 2), bound + 1)
     elif rays := _rotations(word):
         lo = d * len(rays)  # the window [d p, 2 d p) of each rotation
-        return method, [set().union(*(_walk(aut, ray, row, cols, lo, 2 * lo) for ray in rays))
+        return method, [set().union(*(_walk(aut, ray, row, ends, lo, 2 * lo) for ray in rays))
                         for row in rows]
     else:
         left = range(d * len(word.left), 2 * d * len(word.left))
         right = range(d * len(word.right), 2 * d * len(word.right))
-    return method, _extent_walks(aut, word, rows, cols, left, right)
+    return method, _extent_walks(aut, word, rows, ends, left, right)
 
 
 def _unit_row(aut, state):
@@ -360,18 +374,26 @@ class _MaskedBehavior:
         self.word = word
         self.policy = policy
         self._verdict = activation_verdicts(aut, word, policy)
-        self._lift = aut._lifted()
-        lifted = self._lift[0]
-        sr = lifted.semiring
+        self._lift, self._scales = aut._lifted()[:2]
+        sr = aut.semiring
         live_finals = {}
         for (i, f), live in self._verdict.pairs.items():
             if live:
                 live_finals.setdefault(i, []).append(f)
-        groups = {}  # live finals -> weighted sum of their initial states
+        groups = {}  # live finals -> the initial states that reach exactly them
         for i, ends in live_finals.items():
-            groups.setdefault(tuple(ends), [sr.zero] * aut.num_states)[i] = lifted.initial[i]
-        self._starts = [tuple(row) for row in groups.values()]
-        self._ends = [[(f, lifted.final[f]) for f in ends] for ends in groups]
+            groups.setdefault(tuple(ends), []).append(i)
+
+        def masked(vector, states):
+            return [vector[s] if s in states else sr.zero for s in range(aut.num_states)]
+
+        first, self._starts = sr._clear([masked(aut.initial, starts)
+                                         for starts in groups.values()])
+        last, parts = sr._clear_ends([masked(aut.final, ends) for ends in groups])
+        ring = self._lift.semiring
+        self._ends = [[_sparse(ring, col) for col in part]
+                      for part in parts]  # per numerator, per group: a sparse column
+        self._scale = first * last
         self._windows = {}  # window start -> [current rows, their scale, values so far]
 
     @property
@@ -381,18 +403,18 @@ class _MaskedBehavior:
     def _value(self, start: int, n: int):
         if n < 0:
             raise IndexError("window length must be a natural number")
-        lifted, scales, end_scale = self._lift
+        lifted = self._lift
         sr = lifted.semiring
-        window = self._windows.setdefault(start, [list(self._starts), end_scale, []])
+        window = self._windows.setdefault(start, [list(self._starts), self._scale, []])
         rows, values = window[0], window[2]
         while len(values) <= n:
             if values:
                 symbol = self.word.char_at(start + len(values) - 1)
                 rows[:] = [advance_row(lifted, row, symbol) for row in rows]
-                window[1] *= scales[symbol]
+                window[1] *= self._scales[symbol]
             values.append(self.automaton.semiring._reduce(
-                sr.sum(sr.mul(row[f], w) for row, ends in zip(rows, self._ends)
-                       for f, w in ends), window[1]))
+                [sr.sum(sr.mul(row[j], w) for row, col in zip(rows, part) for j, w in col)
+                 for part in self._ends], window[1]))
         return values[n]
 
 

@@ -33,12 +33,13 @@ def advance_row(aut, row, symbol):
     """row . M(symbol) using the sparse adjacency; the workhorse behind
     word-weight and behavior evaluation."""
     sr = aut.semiring
+    add, mul, is_zero = sr.add, sr.mul, sr.is_zero
     out = [sr.zero] * aut.num_states
-    for i, value in enumerate(row):
-        if sr.is_zero(value):
+    for value, edges in zip(row, aut.sparse_rows(symbol)):
+        if is_zero(value):
             continue
-        for j, w in aut.sparse_rows(symbol)[i]:
-            out[j] = sr.add(out[j], sr.mul(value, w))
+        for j, w in edges:
+            out[j] = add(out[j], mul(value, w))
     return tuple(out)
 
 
@@ -135,20 +136,22 @@ class Automaton(Record):
         return cache[symbol]
 
     def _lifted(self):
-        """``(lifted, scales, end_scale)``, cached like :meth:`matrix`: this
-        automaton over ``semiring._integers``, with M(s) times scales[s], the
-        least D_s that clears it, and end vectors cleared by factors whose
-        product is end_scale.  A word's denominator is end_scale . prod D_s."""
+        """``(lifted, scales, end_scale, ends)``, cached like :meth:`matrix`:
+        this automaton over ``semiring._integers`` (see ``Semiring._clear``),
+        with M(s) times scales[s], the least D_s that clears it; its initial
+        row and ``ends``, the lifted columns of its final vector, one per
+        numerator of a value, are cleared by factors whose product is
+        end_scale.  A word's denominator is end_scale . prod D_s."""
         if "_lift" not in self.__dict__:
             sr, scales, transitions = self.semiring, dict.fromkeys(self.alphabet, 1), {}
-            (first, initial), (last, final) = sr._clear(self.initial), sr._clear(self.final)
+            first, (initial,) = sr._clear([self.initial])
+            last, parts = sr._clear_ends([self.final])
+            ends = [columns[0] for columns in parts]
             for symbol, rows in self.transitions.items():
-                scales[symbol], weights = sr._clear([w for row in rows for _, w in row])
-                it = iter(weights)
-                transitions[symbol] = tuple(tuple((j, next(it)) for j, _ in row) for row in rows)
+                scales[symbol], transitions[symbol] = sr._clear_rows(rows)
             lifted = self if sr._integers is sr else Automaton(
-                sr._integers, self.alphabet, self.num_states, initial, final, transitions)
-            object.__setattr__(self, "_lift", (lifted, scales, first * last))
+                sr._integers, self.alphabet, len(initial), initial, ends[0], transitions)
+            object.__setattr__(self, "_lift", (lifted, scales, first * last, ends))
         return self.__dict__["_lift"]
 
     def edges(self):
@@ -220,12 +223,12 @@ def _require_loopback(aut: Automaton):
 def converging_weight(aut: Automaton, word: FiniteWord):
     """Weight of a finite word: initial . M(w[0]) ... M(w[n-1]) . final."""
     require_same_alphabet(aut.alphabet, word.alphabet)
-    lifted, scales, scale = aut._lifted()
+    lifted, scales, scale, ends = aut._lifted()
     row = lifted.initial
     for symbol in word:
         row = advance_row(lifted, row, symbol)
         scale *= scales[symbol]
-    return aut.semiring._reduce(dot(lifted.semiring, row, lifted.final), scale)
+    return aut.semiring._reduce([dot(lifted.semiring, row, end) for end in ends], scale)
 
 
 def zero_automaton(semiring: Semiring, alphabet: Alphabet) -> Automaton:

@@ -102,8 +102,10 @@ def _policy(text: str) -> ActivationPolicy:
 
 
 def _print_rows(rows):
+    """One write per row, which unbuffered stdout makes one system call."""
+    write = sys.stdout.write
     for row in rows:
-        print("\t".join(row))
+        write("\t".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +501,40 @@ def run():
     profiler has printed its report and after ``coverage run`` has saved its
     data.  The handler flushes stdout and stderr and then ends the process
     with ``os._exit``; if a flush raises, it returns and normal finalization
-    reports the error.  A closed stdout pipe exits 1 with nothing on stderr.
+    reports the error.  A closed stdout pipe exits 1 with nothing on stderr;
+    any other failed write to stdout exits 1 with one ``error:`` line.
     """
+    reported = False
     try:
         code = main()
     except BrokenPipeError:
         code = 1
-    atexit.register(_exit_without_teardown, code)
+    except OSError as exc:  # files fail as DivautError: this is a stdout write
+        code, reported = _stdout_failed(exc), True
+    atexit.register(_exit_without_teardown, code, reported)
     sys.exit(code)
 
 
-def _exit_without_teardown(code):
+def _stdout_failed(exc) -> int:
+    """Reports a failed stdout write on stderr; returns the exit code."""
+    try:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+    except (OSError, ValueError, AttributeError):
+        pass
+    return 1
+
+
+def _exit_without_teardown(code, reported):
     # a stream is None when the process started with that descriptor closed
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
     except BrokenPipeError:
         code = 1  # the reader has gone; os._exit drops what is still buffered
-    except (OSError, ValueError):
+    except OSError as exc:
+        if not reported:
+            code = _stdout_failed(exc)
+    except ValueError:
         return
     try:
         if sys.stderr is not None:

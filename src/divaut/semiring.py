@@ -7,8 +7,13 @@ exact; nothing in this package ever rounds, because downstream acceptance
 decisions hinge on exact zero tests.
 
 Rows over the two fields are integer numerators over one denominator, in a
-private ring of integers (Z, Z[i]) kept out of ``SEMIRINGS``, and each value
-is reduced once.  Other semirings are their own integers, with scale 1.
+private ring of integers Z kept out of ``SEMIRINGS``, and each value is
+reduced once.  A Q(i) row is its real and imaginary integer rows side by
+side: state k holds lifted entries 2k (real part) and 2k + 1 (imaginary
+part).  Other semirings are their own integers, with scale 1.
+
+Every concrete carrier is falsy exactly at its zero, so its zero test is
+``operator.not_``.
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from .errors import DivautParseError, SemiringMismatch
 class GaussianRational:
     """a + b*i with exact rational real and imaginary parts; immutable.
 
-    Written out by hand rather than as a record: every row step over Q(i)
-    and Z[i] builds and compares these.
+    Written out by hand rather than as a record: quantum ratios build and
+    compare these.
     """
 
     __slots__ = ("real", "imag")
@@ -51,6 +56,8 @@ class GaussianRational:
 
     def __add__(self, other):
         other = _as_gaussian(other)
+        if other is NotImplemented:
+            return other
         return GaussianRational(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__
@@ -59,10 +66,13 @@ class GaussianRational:
         return GaussianRational(-self.real, -self.imag)
 
     def __sub__(self, other):
-        return self + (-_as_gaussian(other))
+        other = _as_gaussian(other)
+        return other if other is NotImplemented else self + -other
 
     def __mul__(self, other):
         other = _as_gaussian(other)
+        if other is NotImplemented:
+            return other
         return GaussianRational(
             self.real * other.real - self.imag * other.imag,
             self.real * other.imag + self.imag * other.real,
@@ -72,6 +82,8 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = _as_gaussian(other)
+        if other is NotImplemented:
+            return other
         norm = other.real * other.real + other.imag * other.imag
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -109,10 +121,14 @@ def gaussian(real, imag=0) -> GaussianRational:
     return GaussianRational(RATIONAL.check(real), RATIONAL.check(imag))
 
 
-def _as_gaussian(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
+def _as_gaussian(value):
+    """``value`` as a GaussianRational, or NotImplemented unless it is one, a
+    Fraction or a non-bool int."""
+    if value.__class__ is GaussianRational:
         return value
-    return GaussianRational(Fraction(value), Fraction(0))
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return GaussianRational(Fraction(value), Fraction(0))
+    return NotImplemented
 
 
 def _format_fraction(q: Fraction) -> str:
@@ -158,13 +174,31 @@ class Semiring:
     def _integers(self):
         return self
 
-    def _clear(self, values):
-        """(D, D * values): the least D > 0 taking a sequence into ``_integers``."""
-        return 1, tuple(values)
+    def _clear(self, vectors):
+        """(D, rows): the least D > 0 taking every entry of ``vectors`` into
+        ``_integers``, and each vector times D as a row of the lifted
+        automaton (see the module notes)."""
+        return 1, [tuple(vector) for vector in vectors]
 
-    def _reduce(self, numerator, scale):
-        """``numerator / scale`` back in this semiring: undoes ``_clear``."""
-        return numerator
+    def _clear_ends(self, vectors):
+        """(D, parts): ``vectors`` as end vectors, with D as in :meth:`_clear`.
+        ``parts`` holds one list per numerator of a value, and in it each
+        vector's lifted column: a lifted row times it is that numerator of
+        the row's product with the vector."""
+        scale, rows = self._clear(vectors)
+        return scale, [rows]
+
+    def _clear_rows(self, rows):
+        """(D, lifted): an adjacency (per state, (target, weight) pairs)
+        times the least D > 0 that clears it, as the lifted adjacency."""
+        scale, (weights,) = self._clear([[w for row in rows for _, w in row]])
+        it = iter(weights)
+        return scale, tuple(tuple((j, next(it)) for j, _ in row) for row in rows)
+
+    def _reduce(self, numerators, scale):
+        """The value with ``numerators``, one per part of :meth:`_clear_ends`,
+        over ``scale``: undoes the clearing."""
+        return numerators[0]
 
     def check(self, value):
         """Validate/coerce an externally supplied value; raises TypeError."""
@@ -198,12 +232,8 @@ class BooleanSemiring(Semiring):
     is_field = False
     zero = False
     one = True
-
-    def add(self, a, b):
-        return a or b
-
-    def mul(self, a, b):
-        return a and b
+    add, mul = staticmethod(operator.or_), staticmethod(operator.and_)
+    is_zero = staticmethod(operator.not_)
 
     def check(self, value):
         if not isinstance(value, bool):
@@ -225,6 +255,7 @@ class _Numeric(Semiring):
     """Adds and multiplies with Python's own + and *."""
 
     add, mul = staticmethod(operator.add), staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
 
 
 class NaturalSemiring(_Numeric):
@@ -249,12 +280,14 @@ class NaturalSemiring(_Numeric):
 
 
 class _Integers(_Numeric):
-    """Z or Z[i], the ring of integers of a field."""
+    """Z, the lifted carrier of both fields."""
 
+    name = "integer"
     has_cancellation, is_field = True, False
+    zero, one = 0, 1
 
-    def __init__(self, name, zero, one):
-        self.name, self.zero, self.one = name, zero, one
+
+_INTEGERS = _Integers()
 
 
 class RationalSemiring(_Numeric):
@@ -263,14 +296,15 @@ class RationalSemiring(_Numeric):
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
-    _integers = _Integers("integer", 0, 1)
+    _integers = _INTEGERS
 
-    def _clear(self, values):
-        scale = lcm(*(v.denominator for v in values))
-        return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+    def _clear(self, vectors):
+        scale = lcm(*(v.denominator for vector in vectors for v in vector))
+        return scale, [tuple(v.numerator * (scale // v.denominator) for v in vector)
+                       for vector in vectors]
 
-    def _reduce(self, numerator, scale):
-        return Fraction(numerator, scale)
+    def _reduce(self, numerators, scale):
+        return Fraction(numerators[0], scale)
 
     def check(self, value):
         if isinstance(value, bool):
@@ -297,17 +331,40 @@ class GaussianRationalSemiring(_Numeric):
     is_field = True
     zero = GaussianRational(Fraction(0), Fraction(0))
     one = GaussianRational(Fraction(1), Fraction(0))
-    _integers = _Integers("gaussian-integer", GaussianRational(0, 0), GaussianRational(1, 0))
+    _integers = _INTEGERS
 
     def conjugate(self, a):
         return a.conjugate()
 
-    def _clear(self, values):
-        scale, parts = RATIONAL._clear([p for v in values for p in (v.real, v.imag)])
-        return scale, tuple(map(GaussianRational, parts[::2], parts[1::2]))
+    def _clear(self, vectors):
+        return RATIONAL._clear([[p for v in vector for p in (v.real, v.imag)]
+                                for vector in vectors])
 
-    def _reduce(self, numerator, scale):
-        return GaussianRational(Fraction(numerator.real, scale), Fraction(numerator.imag, scale))
+    def _clear_ends(self, vectors):
+        """An end value c_k takes the real-part column (Re c_k, -Im c_k) and
+        the imaginary-part column (Im c_k, Re c_k) at lifted entries 2k, 2k + 1."""
+        scale, rows = self._clear(vectors)
+        pairs = [tuple(zip(row[::2], row[1::2])) for row in rows]
+        return scale, [[tuple(p for a, b in pair for p in (a, -b)) for pair in pairs],
+                       [tuple(p for a, b in pair for p in (b, a)) for pair in pairs]]
+
+    def _clear_rows(self, rows):
+        """A weight a + bi from state k to j becomes the block [[a, b], [-b, a]]
+        from lifted entries 2k, 2k + 1 to 2j, 2j + 1, without its zeros."""
+        scale, (parts,) = self._clear([[w for row in rows for _, w in row]])
+        it = iter(parts)
+        lifted = []
+        for row in rows:
+            blocks = [(2 * j, next(it), next(it)) for j, _ in row]
+            lifted.append(tuple((t, v) for k, a, b in blocks
+                                for t, v in ((k, a), (k + 1, b)) if v))
+            lifted.append(tuple((t, v) for k, a, b in blocks
+                                for t, v in ((k, -b), (k + 1, a)) if v))
+        return scale, tuple(lifted)
+
+    def _reduce(self, numerators, scale):
+        real, imag = numerators
+        return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
 
     def check(self, value):
         if isinstance(value, GaussianRational):

@@ -680,3 +680,27 @@ def test_rational_fixture_table_matches_its_golden(capsys):
     code, out, err = run(capsys, "eval", str(FIXTURES / "cancelling.aut"),
                          "--word", "( a b )^w", "--n-max", "6")
     assert (code, out, err) == (0, golden.read_text(), "")
+
+
+class CountingStdout:
+    """A stdout that counts its writes."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_each_table_row_is_one_stdout_write(monkeypatch):
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["eval", str(FIXTURES / "doubling.aut"), "--word", "( a b )^w",
+                 "--n-max", "9"]) == 0
+    assert len(out.parts) == 10
+    assert all(part.endswith("\n") and part.count("\n") == 1 for part in out.parts)
+    assert [part.split("\t")[0] for part in out.parts] == [str(n) for n in range(10)]

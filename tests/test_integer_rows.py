@@ -190,16 +190,37 @@ def test_each_symbol_has_its_own_scale():
     aut = Automaton.build(RATIONAL, AB, 2, {0: Fraction(1, 3)}, {1: Fraction(3, 4)},
                           [(0, 1, "a", Fraction(1, MERSENNE)), (1, 0, "b", Fraction(-2, 3)),
                            (1, 1, "a", Fraction(1, 2))])
-    lifted, scales, end_scale = aut._lifted()
+    lifted, scales, end_scale, ends = aut._lifted()
     assert (scales, end_scale) == ({"a": 2 * MERSENNE, "b": 3}, 3 * 4)
     assert lifted.semiring is RATIONAL._integers
+    assert ends == [lifted.final] == [(0, 3)]
     assert sorted(lifted.edges()) == [(0, 1, "a", 2), (1, 0, "b", -2), (1, 1, "a", MERSENNE)]
     word = up_word("", "ab")
     behavior = DivergingBehavior(aut, word)
     assert [behavior.at(n) for n in range(6)] == \
         [reference_value(aut, {(0, 1): True}, word, 0, n) for n in range(6)]
     natural = random_natural_automaton(random.Random(1))
-    assert natural._lifted() == (natural, dict.fromkeys(AB, 1), 1)
+    assert natural._lifted() == (natural, dict.fromkeys(AB, 1), 1, [natural.final])
+
+
+def test_gaussian_rows_lift_to_pairs_of_integer_rows():
+    """State k lifts to entries 2k (real part) and 2k + 1 (imaginary part);
+    a + bi to the block [[a, b], [-b, a]] without its zeros."""
+    aut = Automaton.build(GAUSSIAN, AB, 2, {0: gaussian(Fraction(1, 2), 1)},
+                          {1: gaussian(0, Fraction(-1, 3))},
+                          [(0, 1, "a", gaussian(1, Fraction(-1, 2))), (1, 0, "b", gaussian(2)),
+                           (1, 1, "a", gaussian(0, Fraction(1, 4)))])
+    lifted, scales, end_scale, ends = aut._lifted()
+    assert lifted.semiring is RATIONAL._integers and lifted.num_states == 4
+    assert scales == {"a": 4, "b": 1} and end_scale == 2 * 3
+    assert lifted.initial == (1, 2, 0, 0)
+    assert ends == [(0, 0, 0, 1), (0, 0, -1, 0)]
+    assert sorted(lifted.edges()) == [
+        (0, 2, "a", 4), (0, 3, "a", -2), (1, 2, "a", 2), (1, 3, "a", 4),
+        (2, 0, "b", 2), (2, 3, "a", 1), (3, 1, "b", 2), (3, 2, "a", -1)]
+    for symbols in ("a", "ab", "aa", "aab", "abaa"):
+        finite = words.FiniteWord(AB, tuple(symbols))
+        assert converging_weight(aut, finite) == enumerate_path_weight(aut, finite)
 
 
 # ---------------------------------------------------------------------------
@@ -256,3 +277,52 @@ def test_advance_row_still_takes_fraction_rows():
     assert advance_row(aut, (Fraction(3), Fraction(1, 5)), "a") == \
         (Fraction(-2), Fraction(3, 2))
     assert advance_row(aut, (Fraction(3), Fraction(1, 5)), "b") == (0, 0)
+
+
+def test_exact_gaussian_decision_walks_the_gaussian_window(row_counter):
+    """A one-sided exact Q(i) decision steps each start row at most
+    |u| + 2d|v| - 1 times, d the Q(i) state count, on integer rows of 2d
+    entries.  Nothing here is live, so every row walks its whole window."""
+    aut = Automaton.build(GAUSSIAN, AB, 3, {0: 1, 1: gaussian(0, 1)}, {2: gaussian(1, 1)},
+                          [(0, 0, "a", gaussian(0, 1)), (1, 1, "b", gaussian(1, -1)),
+                           (0, 1, "b", 1)])
+    word = up_word("ba", "ab")
+    assert activation_verdicts(aut, word).pairs == {(0, 2): False, (1, 2): False}
+    d, u, v = aut.num_states, 2, 2
+    assert len(row_counter) == 2 * (u + 2 * d * v - 1)
+    assert all(lifted.semiring is RATIONAL._integers and lifted.num_states == 2 * d
+               for lifted in row_counter)
+    # a live pair ends the walk at the window's first position, although the
+    # imaginary-part column of its real values stays zero
+    row_counter.clear()
+    real = Automaton.build(GAUSSIAN, AB, 1, {0: 1}, {0: 2}, [(0, 0, "a", 1), (0, 0, "b", -1)])
+    assert activation_verdicts(real, word).pairs == {(0, 0): True}
+    assert len(row_counter) == u + v  # |u| + d|v| with d = 1
+
+
+# state 0 is initial, its loops on a and b weigh 1 and its final weight is i:
+# every window sums to i, whose real part is 0
+IMAGINARY = Automaton.build(GAUSSIAN, AB, 2, {0: 1}, {0: gaussian(0, 1), 1: gaussian(0, -2)},
+                            [(0, 0, "a", 1), (0, 0, "b", 1), (1, 1, "a", gaussian(0, 1))])
+
+
+@pytest.mark.parametrize("word", [up_word("b", "ab"), up_word("", "a"),
+                                  bi_word("a", "b", "ab"), bi_word("ab", "", "ab"),
+                                  bi_word("a", "", "b")],
+                         ids=["one-sided", "cycle", "two-sided", "periodic", "no-center"])
+def test_a_purely_imaginary_window_is_live(word):
+    """A kernel that tests only the real-part column finds every pair dead."""
+    verdict = activation_verdicts(IMAGINARY, word)
+    assert verdict.pairs == {(0, 0): True, (0, 1): False}
+    assert verdict.pairs == reference_pairs(IMAGINARY, word, AUTO)
+    if isinstance(word, UPInfiniteWord):
+        assert [DivergingBehavior(IMAGINARY, word).at(n) for n in range(4)] == \
+            [gaussian(0, 1)] * 4
+    else:
+        assert [BidivergingBehavior(IMAGINARY, word).at(i, 3) for i in (-2, 0, 1)] == \
+            [gaussian(0, 1)] * 3
+    finite = words.FiniteWord(AB, ("a", "b"))
+    assert converging_weight(IMAGINARY, finite) == gaussian(0, 1)
+    # as an expression's tester is decided: one start row, one end vector
+    assert activation._decide(IMAGINARY, word, AUTO, [IMAGINARY.initial],
+                              [IMAGINARY.final]) == ("ExactFieldLRS", [{0}])

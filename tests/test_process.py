@@ -88,3 +88,20 @@ def test_import_generates_no_dataclass_code():
     child = spawn(["-c", "import sys; before = set(sys.modules); import divaut.cli; "
                    "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"])
     assert child.stdout == "[]\n", child.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("n_max", ["3", "5000"], ids=["short", "past-the-buffer"])
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_failed_stdout_write_is_one_error_line(launcher, n_max, unbuffered):
+    env = child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, *LAUNCHERS[launcher], "eval", DOUBLING, "--word", "( a b )^w",
+             "--n-max", n_max],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (child.returncode, child.stderr) == \
+        (1, "error: cannot write to stdout: [Errno 28] No space left on device\n")

@@ -127,24 +127,85 @@ def test_gaussian_refuses_float_and_bool_parts(parts):
 @pytest.mark.parametrize("sr,strategy", VALUE_STRATEGIES,
                          ids=lambda v: getattr(v, "name", ""))
 def test_clear_and_reduce_invert_each_other(sr, strategy):
+    ring = sr._integers
+
     @settings(max_examples=60)
     @given(st.lists(strategy, max_size=5))
     def round_trip(values):
-        scale, numerators = sr._clear(values)
-        assert [sr._reduce(n, scale) for n in numerators] == values
+        scale, (row,) = sr._clear([values])
+        # value m is the lifted row times the end columns of the m-th unit vector
+        units = [[sr.one if k == m else sr.zero for k in range(len(values))]
+                 for m in range(len(values))]
+        unit_scale, parts = sr._clear_ends(units)
+        assert unit_scale == 1
+        assert [sr._reduce([ring.sum(ring.mul(a, b) for a, b in zip(row, part[m]))
+                            for part in parts], scale)
+                 for m in range(len(values))] == values
         if sr.is_field:  # the least scale: it shares no factor with every numerator
-            parts = [p for n in numerators for p in (n.real, n.imag)] \
-                if sr is GAUSSIAN else list(numerators)
-            assert all(type(p) is int for p in parts)
-            assert gcd(scale, *parts) == 1
+            assert len(row) == len(values) * len(parts)
+            assert all(type(p) is int for p in row)
+            assert gcd(scale, *row) == 1
         else:
-            assert scale == 1
+            assert scale == 1 and row == tuple(values)
 
     round_trip()
     # a field's integers are private: no file can name them
     assert (sr._integers is sr) is not sr.is_field
     assert (sr._integers in SEMIRINGS.values()) is not sr.is_field
 
+
+def test_both_fields_lift_to_one_ring_of_integers():
+    assert GAUSSIAN._integers is RATIONAL._integers
+    assert RATIONAL._integers.name == "integer"
+    # a Q(i) vector: real and imaginary numerators side by side; two end columns
+    values = [gaussian(Fraction(1, 2), 3), gaussian(0, Fraction(-1, 3))]
+    assert GAUSSIAN._clear([values]) == (6, [(3, 18, 0, -2)])
+    assert GAUSSIAN._clear_ends([values]) == (6, [[(3, -18, 0, 2)], [(18, 3, -2, 0)]])
+    assert GAUSSIAN._reduce((0, -5), 10) == gaussian(0, Fraction(-1, 2))
+
+
+CARRIERS = VALUE_STRATEGIES + [(RATIONAL._integers, st.integers(-2 ** 70, 2 ** 70))]
+
+
+@pytest.mark.parametrize("sr,strategy", CARRIERS, ids=lambda v: getattr(v, "name", ""))
+def test_zero_test_and_operations_keep_the_carrier(sr, strategy):
+    carrier = type(sr.zero)
+
+    @settings(max_examples=100)
+    @given(st.one_of(st.just(sr.zero), strategy), strategy)
+    def kernel(a, b):
+        assert sr.is_zero(a) == (a == sr.zero)
+        for value in (sr.add(a, b), sr.mul(a, b), sr.add(b, a), sr.mul(b, a)):
+            assert type(value) is carrier
+
+    kernel()
+    assert sr.is_zero(sr.zero) and not sr.is_zero(sr.one)
+    assert type(sr.one) is carrier
+
+
+@pytest.mark.parametrize("other", [0.1, True], ids=["float", "bool"])
+def test_gaussian_arithmetic_refuses_float_and_bool_operands(other):
+    value = gaussian(1, -2)
+    for operation in (lambda a, b: a + b, lambda a, b: a - b,
+                      lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(TypeError):
+            operation(value, other)
+        with pytest.raises(TypeError):
+            operation(other, value)
+
+
+@pytest.mark.parametrize("other", [3, Fraction(-2, 5)], ids=["int", "fraction"])
+def test_gaussian_arithmetic_takes_int_and_fraction_operands(other):
+    value = gaussian(1, -2)
+    as_gaussian = gaussian(other)
+    assert value + other == other + value == value + as_gaussian
+    assert value - other == value - as_gaussian
+    assert value * other == other * value == value * as_gaussian
+    assert value / other == value / as_gaussian
+    for result in (value + other, other + value, value - other, other * value,
+                   value / other):
+        assert type(result) is GaussianRational
+        assert type(result.real) is Fraction and type(result.imag) is Fraction
 
 
 def test_seq_add_identity():
