@@ -7,43 +7,39 @@ values sum only over activated pairs; everything else is masked to zero.
 
 A prefix of ``u v^w`` reads u v^k v[:r] and an enclosing window of
 ``l^~w m r^w`` reads l[-s:] l^a m r^b r[:t]; the pair is activated when such
-sums stay non-zero for arbitrarily large exponents.  Whether the semiring
-cancels picks one of two exact rules (``auto`` and ``exact`` are the same):
-
-* Boolean / natural: a sum is non-zero iff some path exists, so this is
-  reachability on the supports ("pumped reach").  Among the states the cycle
-  reaches from the start set, repeatedly peel off those with no predecessor
-  left; the rest are reached by arbitrarily long walks.  A two-sided word
-  pumps the left cycle from each suffix phase and then reads on as the
-  one-sided word ``m r^w`` under the same rule.
-* Fields: for fixed phases the sums are linear recurrences of order at most
-  d = |Q| in each exponent (Cayley-Hamilton; Berstel & Reutenauer,
-  *Noncommutative Rational Series with Applications*, ch. 2).  One that is
-  eventually zero is zero from exponent d on, and one that vanishes on d
-  consecutive exponents >= d vanishes on all of them.  So the window of
-  prefix lengths [|u| + d|v|, |u| + 2d|v|) decides one-sided words and the
-  extents [d|l|, 2d|l|) x [d|r|, 2d|r|) around the center two-sided ones; a
-  purely periodic word takes the one-sided window per rotation.
+sums stay non-zero for arbitrarily large exponents.  One exact rule decides
+every semiring that has one (``auto`` and ``exact`` are the same).  Over a
+field, for fixed phases the sums are linear recurrences of order at most d
+in each exponent, d the number of states on some path from a start to an
+end (Cayley-Hamilton; Berstel & Reutenauer, *Noncommutative Rational Series
+with Applications*, ch. 2).  One that is eventually zero is zero from
+exponent d on, and one that vanishes on d consecutive exponents >= d
+vanishes on all of them.  So the window of prefix lengths
+[|u| + d|v|, |u| + 2d|v|) decides one-sided words and the extents
+[d|l|, 2d|l|) x [d|r|, 2d|r|) around the center two-sided ones; a purely
+periodic word takes the one-sided window per rotation.  The same windows are
+exact over the naturals and the Booleans: a natural path sum is the rational
+path sum of the same automaton, and c -> [c != 0] is a semiring map from the
+naturals onto the Booleans, so a Boolean sum is non-zero exactly when the
+path count is.
 
 A semiring that cancels but is not a field has no exact rule and raises
 :class:`UnsupportedExactDecision`.  ``horizon:K`` is an explicit
 approximation for differential testing: prefix lengths (K/2, K], extents
 [K/2, K].  Every rule makes one pass per start row and reports for each row
-the set of end columns it activates; the field and horizon rules on
-two-sided words also make one pass per end column (heads x tails).  Over
-the fields, rows are integer numerators over one denominator (the lifted
-automaton), and an end vector is one integer column per numerator of a
+the set of end columns it activates; on a two-sided word it also makes one
+pass per end column (heads x tails), unless it reads the rotations.  Rows are
+those of the lifted automaton: over the fields integer numerators over one
+denominator, and an end vector is one integer column per numerator of a
 value: a Q(i) row is its real and imaginary integer rows side by side, and
-a Q(i) end vector two columns, for the real and the imaginary part.  Zero
-tests never reduce, and the masked evaluator reduces each value once.
+a Q(i) end vector two columns, for the real and the imaginary part.  Over
+the Booleans and the naturals the lifted automaton is the automaton itself.
+Zero tests never reduce, and the masked evaluator reduces each value once.
 """
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-
 from ._record import Record
-from .automaton import Automaton, advance_row
+from .automaton import Automaton, _on_paths, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import BOOLEAN, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
@@ -79,102 +75,19 @@ def horizon(bound: int) -> ActivationPolicy:
 
 
 class ActivationVerdict(Record):
-    """Per-pair activation outcomes plus the method that produced them."""
+    """Per-pair activation outcomes plus the method that produced them.
+
+    Every exact method runs the same windows, and its label names why they
+    are exact for the semiring: ExactFieldLRS (linear recurrences over a
+    field), ExactNaturalReduction (the naturals inside the rationals) and
+    ExactBooleanReach (a Boolean sum is non-zero iff the path count is)."""
 
     pairs: dict  # (initial_state, final_state) -> bool
     method: str
 
 
 # ---------------------------------------------------------------------------
-# no cancellation: pumped reach on the supports
-#
-# A support is an integer bitmask of states and a support matrix one bitmask
-# per state, so the reach and peel loops stay cheap on the large automata
-# the translations produce.
-
-def _bits_of_rows(sparse_rows):
-    return tuple(sum(1 << j for j, _ in row) for row in sparse_rows)
-
-
-def _bits_of_vector(sr, vec):
-    return sum(1 << j for j, w in enumerate(vec) if not sr.is_zero(w))
-
-
-def _members(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
-def _bit_step(bits: int, mat_bits) -> int:
-    """The states one step of ``mat_bits`` reaches from ``bits``."""
-    return reduce(or_, (mat_bits[j] for j in _members(bits)), 0)
-
-
-def _transpose(mat_bits):
-    return tuple(sum(1 << i for i, row in enumerate(mat_bits) if row >> j & 1)
-                 for j in range(len(mat_bits)))
-
-
-def _pumped(start: int, cycle, pred) -> int:
-    """The states that ``start . cycle^k`` holds for arbitrarily large k;
-    ``pred`` is the transpose of ``cycle``.
-
-    Peeling keeps exactly these: a survivor traces back through survivors
-    to a cycle reachable from ``start``, and a state reached by arbitrarily
-    long walks always has a predecessor that is too.
-    """
-    reach = frontier = start
-    while frontier:
-        frontier = _bit_step(frontier, cycle) & ~reach
-        reach |= frontier
-    while True:
-        kept = sum(1 << q for q in _members(reach) if pred[q] & reach)
-        if kept == reach:
-            return reach
-        reach = kept
-
-
-def _pumped_reach(aut, word, rows, cols) -> list:
-    """Exact decision over Boolean/natural weights (see the module notes)."""
-    sr = aut.semiring
-    mats = {s: _bits_of_rows(aut.sparse_rows(s)) for s in aut.alphabet}
-
-    def walk(bits, symbols):
-        for s in symbols:
-            bits = _bit_step(bits, mats[s])
-        return bits
-
-    def cycle_bits(cycle):
-        """The bit matrix of one pass over ``cycle`` and its transpose."""
-        cmat = tuple(walk(1 << i, cycle) for i in range(aut.num_states))
-        return cmat, _transpose(cmat)
-
-    heads = [_bits_of_vector(sr, row) for row in rows]
-    if isinstance(word, BiInfiniteWord):  # left heads, then center . (right)^w
-        left = word.left
-        lmat, lpred = cycle_bits(left)
-        heads = [reduce(or_, (_pumped(walk(h, left[len(left) - s:]), lmat, lpred)
-                              for s in range(len(left))))
-                 for h in heads]
-        prefix, cycle = word.center, word.right
-    else:
-        prefix, cycle = word.prefix, word.cycle
-    cmat, cpred = cycle_bits(cycle)
-    ends = [_bits_of_vector(sr, col) for col in cols]
-    live = []
-    for h in heads:
-        bits = union = _pumped(walk(h, prefix), cmat, cpred)
-        for s in cycle[:-1]:  # then any partial prefix of the cycle
-            bits = _bit_step(bits, mats[s])
-            union |= bits
-        live.append({c for c, e in enumerate(ends) if union & e})
-    return live
-
-
-# ---------------------------------------------------------------------------
-# fields and bounded horizons: value walks over windows
+# value walks over windows
 
 def _sparse(sr, vec):
     return [(j, w) for j, w in enumerate(vec) if not sr.is_zero(w)]
@@ -185,8 +98,8 @@ def _walk(aut, word, row, ends, lo: int, hi: int) -> set:
     col of ends[c] and some n in [lo, hi): one advance_row walk, reading
     every column at each position until each end is live.
 
-    Over a field the window [|u| + d|v|, |u| + 2d|v|) is exact: it is the
-    recurrence indices [d, 2d) of every residue of the cycle length.
+    The window [|u| + d|v|, |u| + 2d|v|) is exact: it is the recurrence
+    indices [d, 2d) of every residue of the cycle length.
     """
     sr = aut.semiring
     pending = {c: [_sparse(sr, col) for col in cols] for c, cols in enumerate(ends)}
@@ -273,16 +186,19 @@ def _rotations(word: BiInfiniteWord) -> list:
 
 def _decide(aut, word, policy, rows, cols) -> tuple:
     """(method, live): ``live[r]`` is the set of indices c such that the
-    pair (rows[r], cols[c]) is activated by ``word``.
+    pair (rows[r], cols[c]) is activated by ``word``.  The method is
+    resolved once for the semiring and the policy; it refuses only when
+    some pair must be decided.
 
-    The method is resolved once for the semiring and the policy; it refuses
-    only when some pair must be decided.
-
-    Over a field the walks run on the lifted integer automaton, and an end
-    vector is live iff one of its integer columns is.  The exact windows
-    keep d, the state count of ``aut``, even where a Q(i) state lifts to
-    two integer entries: the complex sums satisfy a recurrence of order d,
-    and the two integers are only their coordinates.
+    d is the number of states on some path from the support of a row to the
+    support of a column.  A state off every such path carries no term of any
+    requested sum, so the sums are those of the automaton restricted to
+    these d states, whose cycle matrices satisfy recurrences of order at
+    most d; with d = 0 every pair is dead and no row is walked.  The walks
+    run on the whole lifted automaton, and an end vector is live iff one of
+    its integer columns is.  A Q(i) state counts once in d although it lifts
+    to two integer entries: the complex sums satisfy a recurrence of order
+    d, and the two integers are only their coordinates.
     """
     sr = aut.semiring
     bound = policy.horizon if policy.kind == "horizon" else None
@@ -300,9 +216,10 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
         raise UnsupportedExactDecision(
             f"no exact activation decision for semiring {sr.name}: it cancels and "
             "is not a field; use --activation horizon:<K>")
-    if bound is None and not sr.has_cancellation:
-        return method, _pumped_reach(aut, word, rows, cols)
-    d = aut.num_states
+    sources, sinks = ({j for vec in vecs for j, _ in _sparse(sr, vec)} for vecs in (rows, cols))
+    d = len(_on_paths(aut.num_states, aut.edges(), sources, sinks))
+    if not d:
+        return method, [set() for _ in rows]
     aut = aut._lifted()[0]  # a zero test is blind to scaling: never reduce
     rows = sr._clear(rows)[1]
     ends = list(zip(*sr._clear_ends(cols)[1]))  # per end vector: its integer columns

@@ -38,12 +38,14 @@ class GaussianRational:
         _set_imag(self, imag)
 
     def __eq__(self, other):
-        if other.__class__ is not GaussianRational:
-            return NotImplemented
+        other = _as_gaussian(other)
+        if other is NotImplemented:
+            return other
         return self.real == other.real and self.imag == other.imag
 
     def __hash__(self):
-        return hash((self.real, self.imag))
+        # a real value equals its real part, so it hashes alike (as complex does)
+        return hash((self.real, self.imag)) if self.imag else hash(self.real)
 
     def __repr__(self):
         return f"GaussianRational(real={self.real!r}, imag={self.imag!r})"
@@ -69,6 +71,10 @@ class GaussianRational:
         other = _as_gaussian(other)
         return other if other is NotImplemented else self + -other
 
+    def __rsub__(self, other):
+        other = _as_gaussian(other)
+        return other if other is NotImplemented else other + -self
+
     def __mul__(self, other):
         other = _as_gaussian(other)
         if other is NotImplemented:
@@ -88,6 +94,10 @@ class GaussianRational:
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
         return self * GaussianRational(other.real / norm, -other.imag / norm)
+
+    def __rtruediv__(self, other):
+        other = _as_gaussian(other)
+        return other if other is NotImplemented else other / self
 
     def conjugate(self):
         return GaussianRational(self.real, -self.imag)

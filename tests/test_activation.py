@@ -303,14 +303,19 @@ WEIGHTS = {
 
 
 @st.composite
-def automaton_and_word(draw):
-    sr = draw(st.sampled_from(list(WEIGHTS)))
-    n = draw(st.integers(1, 4))
+def automata(draw, semirings=tuple(WEIGHTS), max_states=4):
+    sr = draw(st.sampled_from(semirings))
+    n = draw(st.integers(1, max_states))
     weight = st.sampled_from(WEIGHTS[sr])
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
                                     st.sampled_from("ab"), weight), max_size=3 * n))
     ends = st.dictionaries(st.integers(0, n - 1), weight, min_size=1)
-    aut = Automaton.build(sr, AB, n, draw(ends), draw(ends), edges)
+    return Automaton.build(sr, AB, n, draw(ends), draw(ends), edges)
+
+
+@st.composite
+def automaton_and_word(draw):
+    aut = draw(automata())
     block = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
     cycle = draw(block)
     shape = draw(st.sampled_from(["ray", "bi", "periodic", "marked"]))
@@ -338,6 +343,78 @@ def test_exact_verdicts_match_a_long_horizon(case):
     exact = activation_verdicts(aut, word, EXACT)
     assert exact.method.startswith("Exact")
     assert exact.pairs == activation_verdicts(aut, word, horizon(bound)).pairs
+
+
+def reach_oracle(aut, word, pairs):
+    """Boolean/natural one-sided verdicts from the supports alone, on the
+    product graph of states and phases in the cycle: (i, f) is live iff some
+    path from (a state u leads i to, phase 0) meets a node on a cycle and
+    then reaches (f, any phase), so that the prefixes reaching f are
+    arbitrarily long."""
+    p = len(word.cycle)
+    succ = {(q, r): [(j, (r + 1) % p) for j, _ in aut.sparse_rows(word.cycle[r])[q]]
+            for q in range(aut.num_states) for r in range(p)}
+
+    def closure(seeds):
+        seen, queue = set(seeds), list(seeds)
+        while queue:
+            for nxt in succ[queue.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen
+
+    on_cycle = {node for node in succ if node in closure(succ[node])}
+    verdicts = {}
+    for i, f in pairs:
+        states = {i}
+        for symbol in word.prefix:
+            states = {j for q in states for j, _ in aut.sparse_rows(symbol)[q]}
+        pumped = closure(on_cycle & closure({(q, 0) for q in states}))
+        verdicts[(i, f)] = any((f, r) in pumped for r in range(p))
+    return verdicts
+
+
+support_automata = automata((BOOLEAN, NATURAL), max_states=5)
+blocks = st.lists(st.sampled_from("ab"), max_size=3).map(tuple)
+cycles = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_automata, blocks, cycles)
+def test_boolean_and_natural_verdicts_match_a_support_graph_oracle(aut, prefix, cycle):
+    word = UPInfiniteWord(AB, prefix, cycle)
+    pairs = [(i, f) for i in range(aut.num_states) for f in range(aut.num_states)]
+    verdict = activation_verdicts(aut, word, AUTO, pairs)
+    assert verdict.pairs == reach_oracle(aut, word, pairs)
+
+
+def as_rational(aut):
+    """The same automaton with its Boolean or natural weights in Q."""
+    return Automaton.build(RATIONAL, aut.alphabet, aut.num_states,
+                           [Fraction(int(w)) for w in aut.initial],
+                           [Fraction(int(w)) for w in aut.final],
+                           [(i, j, s, Fraction(int(w))) for i, j, s, w in aut.edges()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_automata, st.sampled_from(["one-sided", "periodic", "two-sided"]),
+       blocks, cycles, cycles)
+def test_boolean_and_natural_verdicts_are_those_of_the_rational_embedding(
+        aut, shape, center, left, right):
+    if shape == "one-sided":
+        word = UPInfiniteWord(AB, center, right)
+    elif shape == "periodic":  # e.g. ( a b )^~w . a b . ( a b )^w
+        word = BiInfiniteWord(AB, right, right * (len(center) % 2), right * 2)
+    else:
+        word = BiInfiniteWord(AB, left, center, right)
+    pairs = [(i, f) for i in range(aut.num_states) for f in range(aut.num_states)]
+    verdict = activation_verdicts(aut, word, AUTO, pairs)
+    rational = activation_verdicts(as_rational(aut), word, AUTO, pairs)
+    assert rational.method == "ExactFieldLRS"
+    assert verdict.method == ("ExactBooleanReach" if aut.semiring is BOOLEAN
+                              else "ExactNaturalReduction")
+    assert verdict.pairs == rational.pairs
 
 
 class IntegersMod6(Semiring):
@@ -503,3 +580,24 @@ def test_negative_window_length_raises(figure_two):
     two.at(0, 5)
     with pytest.raises(IndexError):
         two.at(0, -1)
+
+
+def test_sequence_and_grid_views_read_the_masked_values(figure_two):
+    ray, biword = up_word("b", "ab"), bi_word("ab", "a", "ba")
+    one = DivergingBehavior(figure_two, ray)
+    sequence = one.sequence()
+    assert sequence.semiring is NATURAL
+    assert sequence.prefix(9) == [one.at(n) for n in range(9)] == \
+        [0, 0, 4, 0, 16, 0, 64, 0, 256]
+    assert sequence.at(4) == diverging_behavior(figure_two, ray, 4)
+    two = BidivergingBehavior(figure_two, biword)
+    grid = two.grid()
+    assert grid.semiring is NATURAL
+    for i in (-3, 0, 2):
+        for n in range(6):
+            assert grid.at(i, n) == two.at(i, n) == bidiverging_behavior(figure_two, biword, i, n)
+    assert [grid.at(0, n) for n in range(6)] == [0, 2, 0, 8, 0, 32]
+    with pytest.raises(IndexError):
+        sequence.at(-1)
+    with pytest.raises(IndexError):
+        grid.at(0, -1)

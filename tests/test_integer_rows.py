@@ -282,10 +282,12 @@ def test_advance_row_still_takes_fraction_rows():
 def test_exact_gaussian_decision_walks_the_gaussian_window(row_counter):
     """A one-sided exact Q(i) decision steps each start row at most
     |u| + 2d|v| - 1 times, d the Q(i) state count, on integer rows of 2d
-    entries.  Nothing here is live, so every row walks its whole window."""
+    entries.  Every state lies on a path from a start to the end (0 -> 1 -> 2),
+    but only prefixes a* b+ a reach the end, so nothing here is live and
+    every row walks its whole window."""
     aut = Automaton.build(GAUSSIAN, AB, 3, {0: 1, 1: gaussian(0, 1)}, {2: gaussian(1, 1)},
                           [(0, 0, "a", gaussian(0, 1)), (1, 1, "b", gaussian(1, -1)),
-                           (0, 1, "b", 1)])
+                           (0, 1, "b", 1), (1, 2, "a", gaussian(1, 1))])
     word = up_word("ba", "ab")
     assert activation_verdicts(aut, word).pairs == {(0, 2): False, (1, 2): False}
     d, u, v = aut.num_states, 2, 2
@@ -298,6 +300,34 @@ def test_exact_gaussian_decision_walks_the_gaussian_window(row_counter):
     real = Automaton.build(GAUSSIAN, AB, 1, {0: 1}, {0: 2}, [(0, 0, "a", 1), (0, 0, "b", -1)])
     assert activation_verdicts(real, word).pairs == {(0, 0): True}
     assert len(row_counter) == u + v  # |u| + d|v| with d = 1
+
+
+@pytest.mark.parametrize("sr", [BOOLEAN, RATIONAL], ids=lambda sr: sr.name)
+def test_the_window_counts_only_states_on_a_start_to_end_path(row_counter, sr):
+    """Five dead states pad a three-state core in which nothing is live: each
+    start row steps exactly |u| + 2d|v| - 1 times, with d = 3 the states on a
+    path from a start to an end, not the eight states of the automaton, on
+    the automaton as it is."""
+    w = (lambda x: True) if sr is BOOLEAN else Fraction
+    core = [(0, 0, "a", w(2)), (1, 1, "b", w(-1)), (0, 1, "b", w(1)), (1, 2, "a", w(3))]
+    dead = [(0, 3, "a", w(1)), (3, 3, "b", w(1)),  # reached, never reaches the end
+            (4, 2, "a", w(1)), (4, 4, "a", w(1)),  # reaches the end, never reached
+            (5, 6, "a", w(1)), (6, 5, "b", w(1)), (7, 7, "b", w(1))]  # neither
+    aut = Automaton.build(sr, AB, 8, {0: w(1), 1: w(1)}, {2: w(1)}, core + dead)
+    word = up_word("ba", "ab")
+    verdict = activation_verdicts(aut, word)
+    assert verdict.pairs == {(0, 2): False, (1, 2): False}
+    assert verdict.method == ("ExactBooleanReach" if sr is BOOLEAN else "ExactFieldLRS")
+    d, u, v = 3, 2, 2
+    assert len(row_counter) == 2 * (u + 2 * d * v - 1)
+    assert all(walked.num_states == aut.num_states for walked in row_counter)
+    # with no start-to-end path at all nothing is walked
+    row_counter.clear()
+    cut = Automaton.build(sr, AB, 8, {0: w(1), 1: w(1)}, {2: w(1)}, core[:3] + dead)
+    assert activation_verdicts(cut, word).pairs == {(0, 2): False, (1, 2): False}
+    assert activation_verdicts(cut, bi_word("ab", "b", "a")).pairs == \
+        {(0, 2): False, (1, 2): False}
+    assert row_counter == []
 
 
 # state 0 is initial, its loops on a and b weigh 1 and its final weight is i:

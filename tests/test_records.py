@@ -69,7 +69,7 @@ def test_equality_is_type_sensitive():
     assert Star(A) != Omega(A)
     assert Zeta(A) != Omega(A) and Star(A) == Star(A)
     assert Omega(A) != ("a", Fraction(1, 2))
-    assert gaussian(1) != Fraction(1)
+    assert gaussian(1) != (Fraction(1), Fraction(0)) and gaussian(1) != 1.0
 
 
 def field_names(record):
@@ -92,7 +92,7 @@ def test_equal_records_hash_equal():
 def test_gaussian_int_and_fraction_parts_are_one_value():
     ints, fractions = GaussianRational(1, 0), GaussianRational(Fraction(1), Fraction(0))
     assert ints == fractions and hash(ints) == hash(fractions)
-    assert hash(ints) == hash((1, 0))
+    assert hash(ints) == hash(1) and hash(GaussianRational(1, 2)) == hash((1, 2))
 
 
 def test_keyword_construction_and_defaults():

@@ -192,6 +192,8 @@ def test_gaussian_arithmetic_refuses_float_and_bool_operands(other):
             operation(value, other)
         with pytest.raises(TypeError):
             operation(other, value)
+    same = gaussian(Fraction(other))  # the same number, but never equal to it
+    assert same != other and other != same
 
 
 @pytest.mark.parametrize("other", [3, Fraction(-2, 5)], ids=["int", "fraction"])
@@ -202,10 +204,24 @@ def test_gaussian_arithmetic_takes_int_and_fraction_operands(other):
     assert value - other == value - as_gaussian
     assert value * other == other * value == value * as_gaussian
     assert value / other == value / as_gaussian
-    for result in (value + other, other + value, value - other, other * value,
-                   value / other):
+    assert other - value == as_gaussian - value
+    assert other / value == as_gaussian / value
+    for result in (value + other, other + value, value - other, other - value,
+                   other * value, value / other, other / value):
         assert type(result) is GaussianRational
         assert type(result.real) is Fraction and type(result.imag) is Fraction
+
+
+@pytest.mark.parametrize("other", [3, Fraction(-2, 5)], ids=["int", "fraction"])
+def test_a_real_gaussian_equals_and_hashes_as_its_plain_value(other):
+    real = gaussian(other)
+    assert real == other and other == real
+    assert not (real != other) and not (other != real)
+    assert gaussian(other, 1) != other and other != gaussian(other, 1)
+    assert hash(real) == hash(other)
+    assert {real, other} == {other} and len({real, Fraction(other), other}) == 1
+    assert 1 - gaussian(1) == gaussian(0) and 1 / gaussian(2) == Fraction(1, 2)
+    assert Fraction(1, 2) - gaussian(1) == gaussian(Fraction(-1, 2))
 
 
 def test_seq_add_identity():
