@@ -39,7 +39,7 @@ Zero tests never reduce, and the masked evaluator reduces each value once.
 from __future__ import annotations
 
 from ._record import Record
-from .automaton import Automaton, _on_paths, advance_row
+from .automaton import Automaton, _on_paths, advance_col, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import BOOLEAN, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
@@ -119,13 +119,6 @@ def _walk(aut, word, row, ends, lo: int, hi: int) -> set:
     return live
 
 
-def _col_step(aut, col, symbol):
-    """M(symbol) . col using the sparse adjacency."""
-    sr = aut.semiring
-    return tuple(sr.sum(sr.mul(w, col[j]) for j, w in row if not sr.is_zero(col[j]))
-                 for row in aut.sparse_rows(symbol))
-
-
 def _steps(aut, step, vec, symbols):
     for symbol in symbols:
         vec = step(aut, vec, symbol)
@@ -157,7 +150,7 @@ def _extent_walks(aut, word, rows, ends, left_extents, right_extents) -> list:
     """
     sr = aut.semiring
     tails = [[_sparse(sr, t) for col in cols
-              for t in _extent_vectors(aut, _col_step, col, word.right[::-1], right_extents)]
+              for t in _extent_vectors(aut, advance_col, col, word.right[::-1], right_extents)]
              for cols in ends]
     live = []
     for row in rows:

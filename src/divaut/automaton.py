@@ -43,6 +43,14 @@ def advance_row(aut, row, symbol):
     return tuple(out)
 
 
+def advance_col(aut, col, symbol):
+    """M(symbol) . col using the sparse adjacency, skipping zero entries of
+    ``col``."""
+    sr = aut.semiring
+    return tuple(sr.sum(sr.mul(w, col[j]) for j, w in row if not sr.is_zero(col[j]))
+                 for row in aut.sparse_rows(symbol))
+
+
 class AutomatonClass(enum.Enum):
     GENERAL = "general"
     NORMALIZED = "normalized"
@@ -56,7 +64,8 @@ class Automaton(Record):
     are weight vectors; a state counts as initial/final when its weight is
     non-zero.  ``transitions`` maps each symbol to a per-state adjacency
     (tuples of (target, weight) pairs, sorted by target); missing symbols
-    mean no transitions.  Use :meth:`matrix` for a dense view."""
+    mean no transitions.  This is the only matrix representation: read it
+    through :func:`advance_row`, :func:`advance_col` and :meth:`edges`."""
 
     semiring: Semiring
     alphabet: Alphabet
@@ -119,25 +128,9 @@ class Automaton(Record):
             return tuple(() for _ in range(self.num_states))
         return got
 
-    def matrix(self, symbol):
-        """Dense square matrix for one symbol; materialized on demand and
-        cached (the automaton is immutable)."""
-        cache = self.__dict__.get("_dense_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dense_cache", cache)
-        if symbol not in cache:
-            sr = self.semiring
-            dense = [[sr.zero] * self.num_states for _ in range(self.num_states)]
-            for i, row in enumerate(self.sparse_rows(symbol)):
-                for j, w in row:
-                    dense[i][j] = w
-            cache[symbol] = tuple(tuple(row) for row in dense)
-        return cache[symbol]
-
     def _lifted(self):
-        """``(lifted, scales, end_scale, ends)``, cached like :meth:`matrix`:
-        this automaton over ``semiring._integers`` (see ``Semiring._clear``),
+        """``(lifted, scales, end_scale, ends)``, cached: this automaton
+        over ``semiring._integers`` (see ``Semiring._clear``),
         with M(s) times scales[s], the least D_s that clears it; its initial
         row and ``ends``, the lifted columns of its final vector, one per
         numerator of a value, are cleared by factors whose product is
@@ -170,15 +163,6 @@ class Automaton(Record):
     def final_states(self):
         return [i for i, w in enumerate(self.final) if not self.semiring.is_zero(w)]
 
-    def has_incoming(self, state):
-        return any(j == state
-                   for rows in self.transitions.values()
-                   for row in rows
-                   for j, _ in row)
-
-    def has_outgoing(self, state):
-        return any(rows[state] for rows in self.transitions.values())
-
     def name_of(self, state):
         if self.state_names is not None:
             return self.state_names[state]
@@ -199,8 +183,9 @@ def classify(aut: Automaton) -> AutomatonClass:
         return AutomatonClass.LOOPBACK
     if len(ini) == 1 and len(fin) == 1 and ini[0] != fin[0] \
             and weight_one(ini, aut.initial) and weight_one(fin, aut.final):
-        if not aut.has_incoming(ini[0]):
-            if not aut.has_outgoing(fin[0]):
+        edges = list(aut.edges())
+        if all(j != ini[0] for _, j, _, _ in edges):
+            if all(i != fin[0] for i, _, _, _ in edges):
                 return AutomatonClass.NORMALIZED
             return AutomatonClass.LOOPBACK_WITH_PRELUDE
         return AutomatonClass.BRIDGE
@@ -363,10 +348,8 @@ def normalize(aut: Automaton) -> Automaton:
     for symbol in aut.alphabet:
         if aut.transitions.get(symbol) is None:
             continue
-        rows = aut.sparse_rows(symbol)
         entry_row = advance_row(aut, aut.initial, symbol)
-        exit_col = [sr.sum(sr.mul(w, aut.final[j]) for j, w in rows[i])
-                    for i in range(n)]
+        exit_col = advance_col(aut, aut.final, symbol)
         for j in range(n):
             if not sr.is_zero(entry_row[j]):
                 edges.append((new_initial, j, symbol, entry_row[j]))
@@ -501,8 +484,11 @@ def decompose_bidiverging(aut: Automaton) -> WeightedSumDecomposition:
 
 def isomorphic(a: Automaton, b: Automaton) -> bool:
     """True when some state bijection carries one automaton onto the other
-    exactly (same weights everywhere).  Backtracking search; meant for the
-    small automata produced by the structural constructions."""
+    exactly (same weights everywhere).  Each automaton is read once, as a
+    ``{(i, j, symbol): weight}`` map of its edges; states pair up by
+    signature (end weights and the edges touching them), then by
+    backtracking search.  Meant for the small automata produced by the
+    structural constructions."""
     if a.semiring is not b.semiring or a.alphabet != b.alphabet:
         return False
     if a.num_states != b.num_states:
@@ -510,52 +496,33 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     sr = a.semiring
     n = a.num_states
 
-    def signature(aut, s):
-        out = [aut.initial[s], aut.final[s]]
-        for symbol in aut.alphabet:
-            mat = aut.matrix(symbol)
-            row = sorted(sr.format(w) for w in mat[s] if not sr.is_zero(w))
-            col = sorted(sr.format(mat[i][s]) for i in range(n)
-                         if not sr.is_zero(mat[i][s]))
-            out.append((symbol, tuple(row), tuple(col)))
-        return repr(out)
+    def read(aut):
+        adj = {(i, j, x): w for i, j, x, w in aut.edges()}
+        touching = [[] for _ in range(n)]
+        for (i, j, x), w in adj.items():
+            touching[i].append((x, "out", sr.format(w)))
+            touching[j].append((x, "in", sr.format(w)))
+        return adj, [repr((aut.initial[s], aut.final[s], sorted(touching[s]))) for s in range(n)]
 
-    sig_a = [signature(a, s) for s in range(n)]
-    sig_b = [signature(b, s) for s in range(n)]
+    (adj_a, sig_a), (adj_b, sig_b) = read(a), read(b)
     if sorted(sig_a) != sorted(sig_b):
         return False
-
     candidates = [[t for t in range(n) if sig_b[t] == sig_a[s]] for s in range(n)]
 
+    def agree(s, s2, t, t2):
+        return all(sr.eq(adj_a.get((s, s2, x), sr.zero), adj_b.get((t, t2, x), sr.zero))
+                   for x in a.alphabet)
+
     def consistent(mapping, s, t):
-        if not sr.eq(a.initial[s], b.initial[t]) or not sr.eq(a.final[s], b.final[t]):
-            return False
-        for symbol in a.alphabet:
-            ma = a.matrix(symbol)
-            mb = b.matrix(symbol)
-            for s2, t2 in mapping.items():
-                if not sr.eq(ma[s][s2], mb[t][t2]):
-                    return False
-                if not sr.eq(ma[s2][s], mb[t2][t]):
-                    return False
-            if not sr.eq(ma[s][s], mb[t][t]):
-                return False
-        return True
+        """Can state s of ``a`` go to state t of ``b``, given ``mapping``
+        (state k of ``a`` to mapping[k])?"""
+        return sr.eq(a.initial[s], b.initial[t]) and sr.eq(a.final[s], b.final[t]) \
+            and all(agree(s, s2, t, t2) and agree(s2, s, t2, t)
+                    for s2, t2 in (*enumerate(mapping), (s, t)))
 
-    def search(mapping, used):
+    def search(mapping):
         s = len(mapping)
-        if s == n:
-            return True
-        for t in candidates[s]:
-            if t in used or not consistent(mapping, s, t):
-                continue
-            mapping[s] = t
-            used.add(t)
-            if search(mapping, used):
-                return True
-            del mapping[s]
-            used.discard(t)
-        return False
+        return s == n or any(t not in mapping and consistent(mapping, s, t)
+                             and search(mapping + [t]) for t in candidates[s])
 
-    return search({}, set())
-
+    return search([])

@@ -486,6 +486,9 @@ def main(argv=None) -> int:
     except DivautError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:  # expressions are trees walked by recursion
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 1
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .automaton import (
     Automaton,
+    advance_col,
     conjoin2 as conjoin2_automata,
     conjoin3 as conjoin3_automata,
     decompose_bidiverging,
@@ -107,9 +108,7 @@ def _compile_cat(sr, alphabet, a: Automaton, b: Automaton) -> Automaton:
     for symbol in alphabet:
         if a.transitions.get(symbol) is None:
             continue
-        rows = a.sparse_rows(symbol)
-        for i in range(na):
-            exit_w = sr.sum(sr.mul(w, a.final[j]) for j, w in rows[i])
+        for i, exit_w in enumerate(advance_col(a, a.final, symbol)):
             if sr.is_zero(exit_w):
                 continue
             for j in range(nb):
@@ -140,16 +139,14 @@ def extract_conv(aut: Automaton) -> Expr:
 
     for k in range(n):
         through = make_star(table[k][k])
-        row_k = list(table[k])
+        row_k = [(j, e) for j, e in enumerate(table[k]) if e != ZERO]
         col_k = [table[i][k] for i in range(n)]
         for i in range(n):
             if col_k[i] == ZERO:
                 continue
             via = make_cat(col_k[i], through)
-            for j in range(n):
-                if row_k[j] == ZERO:
-                    continue
-                table[i][j] = make_sum([table[i][j], make_cat(via, row_k[j])])
+            for j, out in row_k:
+                table[i][j] = make_sum([table[i][j], make_cat(via, out)])
 
     terms = []
     for i in range(n):

@@ -226,12 +226,6 @@ class Semiring:
             out = self.add(out, v)
         return out
 
-    def product(self, values):
-        out = self.one
-        for v in values:
-            out = self.mul(out, v)
-        return out
-
     def __repr__(self):
         return f"<semiring {self.name}>"
 

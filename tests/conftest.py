@@ -62,6 +62,17 @@ def bi_word(left, center, right, alphabet=AB):
     return BiInfiniteWord(alphabet, tuple(left), tuple(center), tuple(right))
 
 
+def dense(aut: Automaton, symbol):
+    """Dense matrix of one symbol, filled from ``aut.edges()`` alone, so the
+    oracles below never call the evaluation code they check."""
+    sr = aut.semiring
+    mat = [[sr.zero] * aut.num_states for _ in range(aut.num_states)]
+    for i, j, x, w in aut.edges():
+        if x == symbol:
+            mat[i][j] = w
+    return tuple(map(tuple, mat))
+
+
 def enumerate_path_weight(aut: Automaton, word: FiniteWord):
     """Brute-force oracle: sum over every state sequence of the product of
     initial weight, transition weights, and final weight.  Exponential; only
@@ -71,12 +82,13 @@ def enumerate_path_weight(aut: Automaton, word: FiniteWord):
     sr = aut.semiring
     total = sr.zero
     states = range(aut.num_states)
+    mats = {symbol: dense(aut, symbol) for symbol in set(word)}
     for path in itertools.product(states, repeat=len(word) + 1):
         w = aut.initial[path[0]]
         for i, symbol in enumerate(word):
             if sr.is_zero(w):
                 break
-            w = sr.mul(w, aut.matrix(symbol)[path[i]][path[i + 1]])
+            w = sr.mul(w, mats[symbol][path[i]][path[i + 1]])
         else:
             total = sr.add(total, sr.mul(w, aut.final[path[-1]]))
     return total

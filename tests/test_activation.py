@@ -25,6 +25,7 @@ from divaut.words import Alphabet, BiInfiniteWord, UPInfiniteWord, slice_word
 from conftest import (
     AB,
     bi_word,
+    dense,
     finite,
     random_natural_automaton,
     random_rational_automaton,
@@ -79,13 +80,14 @@ def test_lrs_window_bound_against_horizon_scan():
         aut = random_rational_automaton(rng, max_states=3)
         word = random_up_word(rng)
         n_total = 120
+        mats = {symbol: dense(aut, symbol) for symbol in aut.alphabet}
         for i in aut.initial_states():
             row = [Fraction(int(s == i)) for s in range(aut.num_states)]
             sums = {f: [] for f in aut.final_states()}
             for n in range(n_total):
                 for f in sums:
                     sums[f].append(row[f])
-                mat = aut.matrix(word.char_at(n))
+                mat = mats[word.char_at(n)]
                 row = [sum(row[k] * mat[k][j] for k in range(len(row)))
                        for j in range(len(row))]
             for f, values in sums.items():
@@ -521,7 +523,7 @@ def walked_value(aut, word, live, start, n):
     for i, f in live:
         row = [sr.one if s == i else sr.zero for s in range(size)]
         for k in range(n):
-            mat = aut.matrix(word.char_at(start + k))
+            mat = dense(aut, word.char_at(start + k))
             row = [sr.sum(sr.mul(row[s], mat[s][t]) for s in range(size))
                    for t in range(size)]
         total = sr.add(total, sr.mul(sr.mul(aut.initial[i], row[f]), aut.final[f]))

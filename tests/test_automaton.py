@@ -36,6 +36,7 @@ from divaut.semiring import NATURAL, RATIONAL
 from conftest import (
     AB,
     bi_word,
+    dense,
     enumerate_path_weight,
     finite,
     random_bi_word,
@@ -206,7 +207,7 @@ def test_roll_two_state_chain():
     looped = roll(chain)
     assert looped.num_states == 1
     assert classify(looped) is AutomatonClass.LOOPBACK
-    assert looped.matrix("a")[0][0] == 1
+    assert dense(looped, "a")[0][0] == 1
 
 
 def test_unroll_self_loop():
@@ -214,7 +215,7 @@ def test_unroll_self_loop():
     norm = unroll(loop)
     assert norm.num_states == 2
     assert classify(norm) is AutomatonClass.NORMALIZED
-    assert norm.matrix("a")[0][1] == 1
+    assert dense(norm, "a")[0][1] == 1
 
 
 def test_roll_unroll_inverse_up_to_bijection():
@@ -235,13 +236,14 @@ def single_trip_weight(loop, word):
     import itertools
 
     middles = range(loop.num_states)
+    mats = {symbol: dense(loop, symbol) for symbol in set(word)}
     for inner in itertools.product(middles, repeat=max(0, len(word) - 1)):
         path = (start,) + inner + (start,)
         if start in inner:
             continue
         w = sr.one
         for k, symbol in enumerate(word):
-            w = sr.mul(w, loop.matrix(symbol)[path[k]][path[k + 1]])
+            w = sr.mul(w, mats[symbol][path[k]][path[k + 1]])
         total = sr.add(total, w)
     return total
 
@@ -353,7 +355,7 @@ def test_conjoin3_direct_middle_edge():
     glued = conjoin3(x, m, y)
     src = glued.initial_states()[0]
     dst = glued.final_states()[0]
-    assert glued.matrix("b")[src][dst] == 7
+    assert dense(glued, "b")[src][dst] == 7
 
 
 def test_conjoin3_then_disjoin3_round_trip():

@@ -704,3 +704,73 @@ def test_each_table_row_is_one_stdout_write(monkeypatch):
     assert len(out.parts) == 10
     assert all(part.endswith("\n") and part.count("\n") == 1 for part in out.parts)
     assert [part.split("\t")[0] for part in out.parts] == [str(n) for n in range(10)]
+
+
+# ---------------------------------------------------------------------------
+# error paths: exit 1 and one error line
+
+def chain_automaton(n):
+    """The one-symbol chain q0 -a-> q1 -a-> ... q(n-1)."""
+    edges = "".join(f"  {{from: q{i}, to: q{i + 1}, symbol: a}},\n" for i in range(n - 1))
+    return (f"semiring: natural\nalphabet: [a]\nstates: [{', '.join(f'q{i}' for i in range(n))}]\n"
+            f"initial: {{q0: 1}}\nfinal: {{q{n - 1}: 1}}\ntransitions: [\n{edges}]\n")
+
+
+def nested_expression(depth):
+    """cat(sym(a, 1), cat(sym(a, 1), ... sym(a, 1))), ``depth`` atoms deep."""
+    return ("semiring: natural\nalphabet: [a]\nexpr: "
+            + "cat(sym(a, 1), " * (depth - 1) + "sym(a, 1)" + ")" * (depth - 1) + "\n")
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("to-rational", chain_automaton(300), ["--level", "conv"]),
+    ("from-rational", nested_expression(400), []),
+    ("eval", nested_expression(400), ["--word", "a a"]),
+], ids=["to-rational-chain", "from-rational-nested", "eval-nested"])
+def test_deep_nesting_is_one_error_line(tmp_path, capsys, command, text, extra):
+    source, out = tmp_path / "deep.txt", tmp_path / "out.txt"
+    source.write_text(text)
+    argv = [command, str(source), *extra] + (["--out", str(out)] if command != "eval" else [])
+    assert run(capsys, *argv) == (1, "", "error: expression nested too deeply\n")
+    assert not out.exists()
+
+
+def zero_norm_state(tmp_path):
+    """A state automaton with no transitions: its norm is 0 past n = 0."""
+    path = tmp_path / "still.aut"
+    path.write_text("semiring: gaussian\nalphabet: [up, dn]\nstates: [s]\n"
+                    "initial: {s: 1}\nfinal: {s: 1}\ntransitions: []\n")
+    return str(path)
+
+
+MARKED = str(FIXTURES / "mark_then_tail.expr")
+DOUBLING = str(FIXTURES / "doubling.aut")
+ERROR_PATHS = {
+    "missing-file": (lambda tmp: ["eval", str(tmp / "absent.aut"), "--word", "a"],
+                     "error: cannot read "),
+    "roll-expression": (lambda tmp: ["roll", MARKED],
+                        f"error: {MARKED} is not an automaton file"),
+    "conv-word-for-div": (lambda tmp: ["eval", MARKED, "--word", "a b"],
+                          "error: a diverging expression needs an infinite word"),
+    "from-rational-automaton": (lambda tmp: ["from-rational", DOUBLING],
+                                "error: from-rational needs an expression file"),
+    "equiv-word-level": (lambda tmp: ["equiv", DOUBLING, DOUBLING, "--level", "div",
+                                      "--word", "a b"],
+                         "error: word 'a b' does not match level div"),
+    "hs-no-terms": (lambda tmp: ["quantum", "hs", "--terms", ";", "--n", "3"],
+                    "error: need at least one amplitude,decay term"),
+    "ratio-undefined": (lambda tmp: ["quantum", "expect", "--state", zero_norm_state(tmp),
+                                     "--operator", str(FIXTURES / "magnetization.aut"),
+                                     "--n", "2", "--rate-at", "3"],
+                        "error: ratio undefined near probe point 3"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_PATHS)
+def test_error_path_is_one_error_line(tmp_path, capsys, case):
+    argv, start = ERROR_PATHS[case]
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 1
+    assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+    if case != "ratio-undefined":  # the table comes first, then the probe fails
+        assert out == ""

@@ -192,6 +192,62 @@ def test_doubled_comma_is_rejected():
 
 
 # ---------------------------------------------------------------------------
+# parse errors: the message and where it points
+
+_HEAD = "semiring: natural\nalphabet: [a, b]\nstates: [p, q]\n"
+
+PARSE_ERRORS = {
+    "unknown-section": (parse_automaton, _HEAD + "colour: red\n",
+                        "line 4, column 1: unknown section 'colour'"),
+    "section-order": (parse_automaton, "semiring: natural\ninitial: {p: 1}\nstates: [p]\n",
+                      "line 2, column 1: initial must follow semiring, states"),
+    "duplicate-state": (parse_automaton, "semiring: natural\nalphabet: [a]\nstates: [p, q, p]\n",
+                        "line 3, column 1: duplicate state names"),
+    "unknown-state": (parse_automaton, _HEAD + "initial: {r: 1}\n",
+                      "line 4, column 11: unknown state 'r'"),
+    "symbol-not-in-alphabet": (parse_automaton,
+                               _HEAD + "transitions: [{from: p, to: q, symbol: c}]\n",
+                               "line 4, column 40: symbol 'c' not in alphabet"),
+    "unknown-head": (parse_expression_file,
+                     "semiring: natural\nalphabet: [a]\nexpr: loop(sym(a, 1))\n",
+                     "line 3, column 7: unknown expression head 'loop'"),
+    "unknown-field": (parse_automaton,
+                      _HEAD + "transitions: [{from: p, to: q, symbol: a, colour: red}]\n",
+                      "line 4, column 43: unknown transition field 'colour'"),
+    "missing-field": (parse_automaton, _HEAD + "transitions: [{from: p, symbol: a}]\n",
+                      "line 4, column 15: transition is missing 'to'"),
+    "expected-colon": (parse_automaton, "semiring natural\n",
+                       "line 1, column 10: expected ':', found 'natural'"),
+    "missing-sections-automaton": (parse_automaton, "semiring: natural\nstates: [p]\n",
+                                   "file needs semiring, alphabet, states sections"),
+    "missing-sections-expression": (parse_expression_file,
+                                    "semiring: natural\nalphabet: [a]\n",
+                                    "file needs semiring, alphabet, expr sections"),
+    "neither-states-nor-expr": (detect_kind, "semiring: natural\nalphabet: [a]\n",
+                                "file has neither a states nor an expr section"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_message_and_position(case):
+    parse, text, message = PARSE_ERRORS[case]
+    with pytest.raises(DivautParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    where = re.match(r"line (\d+), column (\d+): ", message)
+    assert (err.value.line, err.value.column) == (
+        (int(where[1]), int(where[2])) if where else (None, None))
+
+
+@pytest.mark.parametrize("case", ["unknown-field", "neither-states-nor-expr"])
+def test_parse_error_through_main(tmp_path, capsys, case):
+    _, text, message = PARSE_ERRORS[case]
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert run(capsys, "eval", str(f), "--word", "a") == (2, "", f"parse error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
 # formatted files survive commas dropped and white space and comments added
 
 _TOKEN = re.compile(r"[\[\]{}:,()]|[^\s\[\]{}:,()]+")

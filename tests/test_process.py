@@ -34,11 +34,20 @@ def write_broken(path):
     return str(path)
 
 
+def write_nested(path):
+    """An expression nested deeper than the recursive walks can follow."""
+    path.write_text("semiring: natural\nalphabet: [a]\nexpr: "
+                    + "cat(sym(a, 1), " * 399 + "sym(a, 1)" + ")" * 399 + "\n")
+    return str(path)
+
+
 CASES = {
     "eval-table": lambda tmp: ["eval", DOUBLING, "--word", "( a b )^w", "--n-max", "6"],
     "out-file": lambda tmp: ["normalize", DOUBLING, "--out", str(tmp / "norm.aut")],
     "error": lambda tmp: ["eval", DOUBLING, "--word", "a c"],
     "parse-error": lambda tmp: ["eval", write_broken(tmp / "broken.aut"), "--word", "a"],
+    "too-deep": lambda tmp: ["from-rational", write_nested(tmp / "nested.expr"),
+                             "--out", str(tmp / "nested.aut")],
 }
 
 
@@ -53,9 +62,11 @@ def test_process_matches_in_process_main(tmp_path, capsys, launcher, case):
     child = spawn([*LAUNCHERS[launcher], *CASES[case](outside)])
     assert (child.returncode, child.stdout, child.stderr) == \
         (code, captured.out, captured.err)
-    assert code == {"eval-table": 0, "out-file": 0, "error": 1, "parse-error": 2}[case]
-    assert captured.err.startswith({"error": "error:", "parse-error": "parse error:"}
-                                   .get(case, ""))
+    assert code == {"eval-table": 0, "out-file": 0, "error": 1, "parse-error": 2,
+                    "too-deep": 1}[case]
+    assert captured.err.startswith({"error": "error:", "parse-error": "parse error:",
+                                    "too-deep": "error:"}.get(case, ""))
+    assert captured.err.count("\n") == (code != 0)
     written = sorted(p.name for p in outside.iterdir())
     assert written == sorted(p.name for p in inside.iterdir())
     for name in written:

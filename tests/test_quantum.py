@@ -30,6 +30,8 @@ from divaut.quantum import (
     uniform_state,
 )
 
+from conftest import dense
+
 ONE = gaussian(1)
 I_UNIT = gaussian(0, 1)
 
@@ -89,7 +91,7 @@ def test_magnetization_automaton_structure():
     assert mag.final == (GAUSSIAN.zero, ONE)
     for symbol, corner in ((endo_symbol(UP, UP), ONE),
                            (endo_symbol(DOWN, DOWN), -ONE)):
-        mat = mag.matrix(symbol)
+        mat = dense(mag, symbol)
         assert mat[0][0] == ONE and mat[1][1] == ONE
         assert mat[0][1] == corner and mat[1][0] == GAUSSIAN.zero
     for symbol in (endo_symbol(UP, DOWN), endo_symbol(DOWN, UP)):
@@ -110,7 +112,7 @@ def test_magnetization_on_up_matches_counting_automaton():
     state = up_state()
     sandwich = apply_transducer(dual(state),
                                 apply_transducer(build_magnetization(), state))
-    mat = sandwich.matrix("0")
+    mat = dense(sandwich, "0")
     assert mat == ((ONE, ONE), (GAUSSIAN.zero, ONE))
 
 

@@ -170,3 +170,33 @@ def test_parse_word_rejects(bad, ab):
     st.lists(symbols, min_size=1, max_size=3)).map(lambda t: bi_word(*t)))
 def test_format_parse_round_trip(w):
     assert words_equal(parse_word(format_word(w), AB), w)
+
+
+@pytest.mark.parametrize("w", [bi_word("ab", "g", "ba", GAMMA), bi_word("b", "", "ag", GAMMA),
+                               bi_word("abg", "gg", "a", GAMMA)],
+                         ids=["center", "no-center", "long-left"])
+def test_right_shifted_words_format_and_parse_back(w):
+    for k in range(5):
+        shifted = w.shift_by(k)
+        back = parse_word(format_word(shifted), GAMMA)
+        assert isinstance(back, BiInfiniteWord) and back.origin == 0
+        assert [back.char_at(i) for i in range(-10, 10)] == \
+            [shifted.char_at(i) for i in range(-10, 10)]
+
+
+def test_left_shifted_word_cannot_be_formatted():
+    with pytest.raises(ValueError, match="shifted left"):
+        format_word(bi_word("ab", "g", "ba", GAMMA).shift_by(-1))
+
+
+@pytest.mark.parametrize("w, starts", [
+    (up_word("aab", "ab"), range(8)),            # inside and past the prefix
+    (up_word([], "abb"), range(5)),
+    (bi_word("ab", "gg", "bga", GAMMA), range(-6, 9)),   # left tail, center, right cycle
+    (bi_word("a", "", "gb", GAMMA).shift_by(3), range(-2, 9)),
+], ids=["prefix", "pure-cycle", "biinfinite", "shifted-biinfinite"])
+def test_infinite_slice_agrees_with_char_at(w, starts):
+    for start in starts:
+        tail = slice_word(w, start, None)
+        assert isinstance(tail, UPInfiniteWord)
+        assert [tail.char_at(i) for i in range(12)] == [w.char_at(start + i) for i in range(12)]
