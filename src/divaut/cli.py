@@ -197,12 +197,12 @@ def cmd_from_rational(args):
     obj = _load_any(args.file)
     if not isinstance(obj, ExpressionFile):
         raise DivautError("from-rational needs an expression file")
-    level = args.level or expr_level(obj.expr)
+    declared = expr_level(obj.expr)
+    level = args.level or declared
     compilers = {"conv": kleene.compile_conv, "div": kleene.compile_div,
                  "bidiv": kleene.compile_bidiv}
-    if expr_level(obj.expr) != level:
-        raise DivautError(f"expression is {expr_level(obj.expr)}-level, "
-                          f"not {level}")
+    if declared != level:
+        raise DivautError(f"expression is {declared}-level, not {level}")
     aut = compilers[level](obj.semiring, obj.alphabet, obj.expr)
     _write_output(format_automaton(aut), args.out)
 

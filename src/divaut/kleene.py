@@ -1,7 +1,8 @@
 """Constructive translations between rational expressions and automata.
 
-Expression-to-automaton goes through the characteristic form: conjoin terms
-become glued normalized automata, iteration terms become rolled loopback
+A converging expression compiles to its weighted position automaton.  The
+infinite levels go through the characteristic form: conjoin terms become
+glued normalized position automata, iteration terms become rolled loopback
 automata, and the pieces are combined with scaling and disjoint union.  The
 reverse direction decomposes an automaton into loopback/bridge parts and
 reads each part back through state elimination.
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 from .automaton import (
     Automaton,
-    advance_col,
     conjoin2 as conjoin2_automata,
     conjoin3 as conjoin3_automata,
     decompose_bidiverging,
@@ -44,7 +44,6 @@ from .series import (
     make_scale,
     make_star,
     make_sum,
-    push_scalars,
     to_characteristic,
     validate,
 )
@@ -55,67 +54,70 @@ from .words import Alphabet
 # converging: expressions -> automata
 
 def compile_conv(sr: Semiring, alphabet: Alphabet, e: Expr) -> Automaton:
-    """Automaton whose finite-word weights equal the expression's
-    coefficients.  No epsilon transitions are ever introduced; empty-word
-    weights ride on the initial/final vectors instead."""
+    """Weighted position automaton (Glushkov 1961; Caron & Flouret 2000)
+    whose finite-word weights equal the expression's coefficients.
+
+    State 0 is the only initial state, and each position (an atom, or a sum
+    of atoms) is one more state.  One walk gives every node its empty-word
+    weight and its weighted first and last maps, and adds follow weights:
+    a product links the last positions of its left operand to the first ones
+    of its right one, a star links its operand's to themselves, and a scale
+    multiplies first weights on the left and last weights on the right.  An
+    edge into a position weighs the follow weight times the atom's
+    coefficient; the empty-word weight is state 0's final weight."""
     validate(e)
-    return _compile(sr, alphabet, push_scalars(sr, e))
+    labels = [()]  # labels[p]: the (symbol, coefficient) pairs that enter p
+    follow = {}    # (p, q) -> weight of stepping from position p to q
 
+    def scaled(left, weights, right):
+        out = ((p, sr.mul(sr.mul(left, w), right)) for p, w in weights.items())
+        return {p: w for p, w in out if not sr.is_zero(w)}
 
-def _compile(sr, alphabet, e):
-    if isinstance(e, Atom):
-        alphabet.require(e.symbol)
-        coeff = sr.check(e.coeff)
-        return Automaton.build(sr, alphabet, 2, {0: sr.one}, {1: sr.one},
-                               [(0, 1, e.symbol, coeff)])
-    if isinstance(e, Sum):
-        if e.terms and all(isinstance(t, Atom) for t in e.terms):
-            # one shared pair of states; parallel edges add up
-            for t in e.terms:
-                alphabet.require(t.symbol)
-            edges = [(0, 1, t.symbol, sr.check(t.coeff)) for t in e.terms]
-            return Automaton.build(sr, alphabet, 2, {0: sr.one}, {1: sr.one},
-                                   edges)
-        return sum_automata(zero_automaton(sr, alphabet),
-                            *(_compile(sr, alphabet, t) for t in e.terms))
-    if isinstance(e, Scale):
-        return scale_automaton(sr.check(e.left_coeff),
-                               _compile(sr, alphabet, e.inner),
-                               sr.check(e.right_coeff))
-    if isinstance(e, Cat):
-        return _compile_cat(sr, alphabet,
-                            _compile(sr, alphabet, e.left),
-                            _compile(sr, alphabet, e.right))
-    if isinstance(e, Star):
-        inner = _compile(sr, alphabet, e.inner)
-        assert sr.is_zero(dot(sr, inner.initial, inner.final)), \
-            "proper operand compiled to an empty-word acceptor"
-        return roll(normalize(inner))
-    raise TypeError(f"not a converging expression: {e!r}")
+    def link(last, first):
+        for p, u in last.items():
+            for q, v in first.items():
+                w = sr.mul(u, v)
+                follow[p, q] = sr.add(follow[p, q], w) if (p, q) in follow else w
 
+    def walk(node):
+        """(empty-word weight, first map, last map) of ``node``."""
+        atoms = node.terms if isinstance(node, Sum) else (node,)
+        if atoms and all(isinstance(t, Atom) for t in atoms):
+            labels.append([(alphabet.require(t.symbol), sr.check(t.coeff)) for t in atoms])
+            p = len(labels) - 1
+            return sr.zero, {p: sr.one}, {p: sr.one}
+        if isinstance(node, Sum):
+            eps, first, last = sr.zero, {}, {}
+            for t in node.terms:
+                t_eps, t_first, t_last = walk(t)
+                eps = sr.add(eps, t_eps)
+                first.update(t_first)
+                last.update(t_last)
+            return eps, first, last
+        if isinstance(node, Scale):
+            left, right = sr.check(node.left_coeff), sr.check(node.right_coeff)
+            eps, first, last = walk(node.inner)
+            return (sr.mul(sr.mul(left, eps), right), scaled(left, first, sr.one),
+                    scaled(sr.one, last, right))
+        if isinstance(node, Cat):
+            a_eps, a_first, a_last = walk(node.left)
+            b_eps, b_first, b_last = walk(node.right)
+            link(a_last, b_first)
+            return (sr.mul(a_eps, b_eps), {**a_first, **scaled(a_eps, b_first, sr.one)},
+                    {**scaled(sr.one, a_last, b_eps), **b_last})
+        if isinstance(node, Star):
+            eps, first, last = walk(node.inner)
+            assert sr.is_zero(eps), "star operand is proper after validate"
+            link(last, first)
+            return sr.one, first, last
+        raise TypeError(f"not a converging expression: {node!r}")
 
-def _compile_cat(sr, alphabet, a: Automaton, b: Automaton) -> Automaton:
-    """Product construction: a path runs through ``a``, hops to ``b`` exactly
-    once (folding a's exit weight and b's entry weight into the hop edge),
-    so the left block carries no final weight; splits with an empty left
-    part ride on the seeded right initial vector instead."""
-    na, nb = a.num_states, b.num_states
-    a_eps = dot(sr, a.initial, a.final)
-    initial = list(a.initial) + [sr.mul(a_eps, w) for w in b.initial]
-    final = [sr.zero] * na + list(b.final)
-    edges = list(a.edges())
-    edges += [(i + na, j + na, s, w) for i, j, s, w in b.edges()]
-    for symbol in alphabet:
-        if a.transitions.get(symbol) is None:
-            continue
-        for i, exit_w in enumerate(advance_col(a, a.final, symbol)):
-            if sr.is_zero(exit_w):
-                continue
-            for j in range(nb):
-                w = sr.mul(exit_w, b.initial[j])
-                if not sr.is_zero(w):
-                    edges.append((i, j + na, symbol, w))
-    return Automaton.build(sr, alphabet, na + nb, initial, final, edges)
+    eps, first, last = walk(e)
+    steps = [((0, q), w) for q, w in first.items()] + list(follow.items())
+    edges = [(p, q, symbol, sr.mul(w, coeff))
+             for (p, q), w in steps for symbol, coeff in labels[q]]
+    return Automaton.build(sr, alphabet, len(labels), {0: sr.one}, {**last, 0: eps},
+                           edges)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,7 @@ def _extract_parts(aut, decompose, iteration, disjoin, conjoin) -> Expr:
 # helpers
 
 def _normalized(sr, alphabet, e) -> Automaton:
-    compiled = _compile(sr, alphabet, push_scalars(sr, e))
+    compiled = compile_conv(sr, alphabet, e)
     # characteristic-form operands are proper, so the empty word is rejected
     assert sr.is_zero(dot(sr, compiled.initial, compiled.final)), \
         "proper operand compiled to an empty-word acceptor"

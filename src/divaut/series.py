@@ -394,30 +394,3 @@ def make_star(e: Expr) -> Expr:
         return EPSILON
     return Star(e)
 
-
-def push_scalars(sr: Semiring, e: Expr, left=None, right=None) -> Expr:
-    """Distribute scalar factors down to atoms where the semibimodule laws
-    allow (through sums, and onto the outer ends of products); scalars stuck
-    outside a star stay as Scale nodes.  Semantics-preserving; used before
-    compilation to keep the constructed automata small."""
-    if left is None:
-        left = sr.one
-    if right is None:
-        right = sr.one
-    if isinstance(e, Atom):
-        return Atom(e.symbol, sr.mul(sr.mul(left, sr.check(e.coeff)), right))
-    if isinstance(e, Sum):
-        return Sum(tuple(push_scalars(sr, t, left, right) for t in e.terms))
-    if isinstance(e, Cat):
-        return Cat(push_scalars(sr, e.left, left, sr.one),
-                   push_scalars(sr, e.right, sr.one, right))
-    if isinstance(e, Scale):
-        return push_scalars(sr, e.inner,
-                            sr.mul(left, sr.check(e.left_coeff)),
-                            sr.mul(sr.check(e.right_coeff), right))
-    if isinstance(e, Star):
-        inner = push_scalars(sr, e.inner)
-        if sr.eq(left, sr.one) and sr.eq(right, sr.one):
-            return Star(inner)
-        return Scale(left, Star(inner), right)
-    raise TypeError(f"not a converging expression: {e!r}")

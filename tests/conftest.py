@@ -163,6 +163,8 @@ def random_conv_expr(rng, sr, depth, alphabet=AB, proper=True):
             return rng.randint(0, 3)
         if sr is BOOLEAN:
             return rng.random() < 0.8
+        if sr is GAUSSIAN:
+            return random_gaussian(rng)
         return random_fraction(rng)
 
     def atom():

@@ -309,7 +309,7 @@ def test_from_rational_level_mismatch(tmp_path, capsys):
     expr_file = tmp_path / "expr.expr"
     expr_file.write_text("semiring: natural\nalphabet: [a]\nexpr: zeta(sym(a, 1))\n")
     code, _, err = run(capsys, "from-rational", str(expr_file), "--level", "div")
-    assert code == 1
+    assert (code, err) == (1, "error: expression is bidiv-level, not div\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from divaut.activation import BidivergingBehavior, DivergingBehavior
 from divaut.automaton import (
     Automaton,
@@ -16,14 +18,17 @@ from divaut.kleene import (
     extract_conv,
     extract_div,
 )
-from divaut.semiring import BOOLEAN, NATURAL, RATIONAL
+from divaut.errors import UnknownSymbol
+from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, gaussian
 from divaut.series import (
     Atom,
     BidivSeries,
+    Cat,
     Conjoin2,
     DivSeries,
     Omega,
     Star,
+    Sum,
     ZERO,
     conv_coeff,
     is_proper,
@@ -71,6 +76,36 @@ def test_compile_star_weights():
     aut = compile_conv(NATURAL, AB, Star(Atom("a", 2)))
     assert converging_weight(aut, finite("aaa")) == 8
     assert converging_weight(aut, finite("")) == 1
+
+
+def positions(e):
+    """Atoms of ``e``, counting a non-empty sum of atoms as one."""
+    if isinstance(e, Atom) or isinstance(e, Sum) and e.terms \
+            and all(isinstance(t, Atom) for t in e.terms):
+        return 1
+    if isinstance(e, Sum):
+        return sum(positions(t) for t in e.terms)
+    if isinstance(e, Cat):
+        return positions(e.left) + positions(e.right)
+    return positions(e.inner)  # a star or a scale
+
+
+def test_compile_has_one_state_per_position():
+    rng = random.Random(107)
+    for sr in (NATURAL, BOOLEAN, RATIONAL, GAUSSIAN):
+        for _ in range(25):
+            expr = random_conv_expr(rng, sr, rng.randint(0, 4), proper=False)
+            assert compile_conv(sr, AB, expr).num_states == 1 + positions(expr)
+
+
+@pytest.mark.parametrize("expr", [
+    Atom("z", 1),
+    Cat(ZERO, Atom("z", 1)),
+    Sum((Atom("a", 1), Atom("z", 1))),
+], ids=["atom", "under-zero", "sum-of-atoms"])
+def test_compile_refuses_unknown_symbols(expr):
+    with pytest.raises(UnknownSymbol):
+        compile_conv(NATURAL, AB, expr)
 
 
 def test_compile_random_matches_oracle():
@@ -268,7 +303,7 @@ def live_expr(rng, sr, word):
     ``word``, so that most of its leaves are live there: each star runs over
     a sum of every symbol the word uses, and the marked operands of a
     conjoin spell out a stretch of the word."""
-    from divaut.series import Cat, Conjoin3, Scale, Sum, Zeta
+    from divaut.series import Conjoin3, Scale, Zeta
     from divaut.words import Alphabet
 
     def coeff():
@@ -276,6 +311,8 @@ def live_expr(rng, sr, word):
             return True
         if sr is NATURAL:
             return rng.randint(1, 3)
+        if sr is GAUSSIAN:
+            return gaussian(random_fraction(rng, allow_zero=False), random_fraction(rng))
         return random_fraction(rng, allow_zero=False)
 
     def spell(symbols):
@@ -311,7 +348,7 @@ def test_compile_random_round_trips_on_live_series():
     rng = random.Random(505)
     tables = []
     for case in range(40):
-        sr = rng.choice((NATURAL, BOOLEAN, RATIONAL))
+        sr = rng.choice((NATURAL, BOOLEAN, RATIONAL, GAUSSIAN))
         if case % 2 == 0:
             word = random_up_word(rng)
             expr = live_expr(rng, sr, word)

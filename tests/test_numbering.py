@@ -2,8 +2,9 @@
 
 The bytes of every written ``.aut`` file depend on how a construction
 numbers its states, so these tests pin that numbering: each construction is
-run on small fixed inputs whose endpoints are not the first or last states,
-and its formatted output is compared with a file under ``tests/golden``.
+run on small fixed inputs whose endpoints are not the first or last states
+(the compiler on one expression that uses every converging node), and its
+formatted output is compared with a file under ``tests/golden``.
 Multi-part results are written one part after another, each under a
 ``# part k`` comment line.
 """
@@ -25,8 +26,10 @@ from divaut.automaton import (
     sum_automata,
 )
 from divaut.fileformat import format_automaton
+from divaut.kleene import compile_conv
 from divaut.quantum import SPIN, SPIN_ENDO, apply_transducer, compose_transducers
 from divaut.semiring import GAUSSIAN, NATURAL, RATIONAL, gaussian
+from divaut.series import Atom, Cat, Scale, Star, Sum
 
 from conftest import AB
 
@@ -78,8 +81,12 @@ KET = Automaton.build(GAUSSIAN, SPIN, 2, {1: gaussian(2, -1)},
                       {0: gaussian(Fraction(1, 3)), 1: gaussian(0, 1)},
                       [(1, 0, "up", gaussian(1, 1)), (0, 0, "dn", gaussian(-2)),
                        (0, 1, "up", gaussian(1)), (1, 1, "dn", gaussian(0, 3))])
+# every converging node: 2 (a3 (a1 + b2)*) 5 + (b1 a4)*
+EXPR = Sum((Scale(2, Cat(Atom("a", 3), Star(Sum((Atom("a", 1), Atom("b", 2))))), 5),
+            Star(Cat(Atom("b", 1), Atom("a", 4)))))
 
 CONSTRUCTIONS = {
+    "compile_conv": lambda: compile_conv(NATURAL, AB, EXPR),
     "apply_transducer": lambda: apply_transducer(OP, KET),
     "compose_transducers": lambda: compose_transducers(OP, INNER),
     "roll": lambda: roll(X),

@@ -260,6 +260,14 @@ def test_hs_single_term_matches_double_sum():
         assert ev.ratio_at(n) == hs_oracle(n, terms)
 
 
+def test_hs_single_term_state_count():
+    # X, Y and Z each give a 4-state bridge: the coupling P I* P compiles to
+    # one state per position plus the initial one, and its two ends merge
+    # with the rolled 1-state identity loops
+    terms = [(gaussian(1), gaussian(Fraction(1, 2)))]
+    assert build_hs_hamiltonian(terms).num_states == 12
+
+
 def test_hs_two_terms_add():
     first = [(gaussian(2), gaussian(Fraction(1, 3)))]
     second = [(gaussian(1), gaussian(Fraction(1, 2)))]

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +26,6 @@ from divaut.series import (
     div_coeff,
     expr_level,
     is_proper,
-    push_scalars,
     to_characteristic,
     validate,
 )
@@ -35,8 +33,6 @@ from divaut.series import (
 from conftest import (
     bi_word,
     finite,
-    random_conv_expr,
-    random_finite_word,
     up_word,
 )
 
@@ -118,17 +114,6 @@ def test_star_split_enumeration_terminates_on_long_words():
     expr = Star(Sum((Atom("a", 1), Cat(Atom("a", 1), Atom("b", 1)))))
     value = conv_coeff(NATURAL, expr, finite("ab" * 6 + "a" * 4))
     assert value >= 1
-
-
-def test_push_scalars_preserves_coefficients():
-    rng = random.Random(5)
-    for _ in range(30):
-        expr = random_conv_expr(rng, RATIONAL, 3, proper=False)
-        pushed = push_scalars(RATIONAL, expr)
-        for _ in range(4):
-            word = random_finite_word(rng, max_len=5)
-            assert conv_coeff(RATIONAL, expr, word) == \
-                conv_coeff(RATIONAL, pushed, word)
 
 
 # ---------------------------------------------------------------------------
