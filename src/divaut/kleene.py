@@ -213,8 +213,13 @@ def _extract_parts(aut, decompose, iteration, disjoin, conjoin) -> Expr:
 # helpers
 
 def _normalized(sr, alphabet, e) -> Automaton:
+    """The normalized position automaton of a proper operand, trimmed; when
+    trimming leaves no state (the operand's series is zero), the untrimmed
+    one, which stays normalized."""
     compiled = compile_conv(sr, alphabet, e)
     # characteristic-form operands are proper, so the empty word is rejected
     assert sr.is_zero(dot(sr, compiled.initial, compiled.final)), \
         "proper operand compiled to an empty-word acceptor"
-    return normalize(compiled)
+    normalized = normalize(compiled)
+    trimmed = trim(normalized)
+    return trimmed if trimmed.num_states else normalized

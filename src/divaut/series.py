@@ -1,9 +1,10 @@
 """Rational-expression ASTs for converging, diverging, and bidiverging power
 series, plus a direct coefficient oracle: one window evaluator for both
-infinite levels, with one memo shared by every window of an evaluation
-context.  Only the ``auto``/``exact`` acceptance indicators build an
-automaton; the ``horizon:K`` indicator scans windows through the same memo
-and never builds one.
+infinite levels.  An evaluation context keeps, for every node and window
+end, one sparse column of coefficients over the window starts, built from
+the operands' columns without recursion.  Only the ``auto``/``exact``
+acceptance indicators build an automaton; the ``horizon:K`` indicator scans
+windows through the same columns and never builds one.
 """
 from __future__ import annotations
 
@@ -16,6 +17,11 @@ from .words import BiInfiniteWord, FiniteWord, UPInfiniteWord
 
 class Expr(Record):
     """Base class for all series expressions."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._operand_fields = tuple(name for name, kind in cls._fields.items()
+                                    if kind == "Expr")
 
 
 # converging layer -----------------------------------------------------------
@@ -77,17 +83,10 @@ EPSILON = Star(ZERO)  # coefficient 1 on the empty word, 0 elsewhere
 def is_proper(e: Expr) -> bool:
     """A converging expression is proper when its empty-word coefficient is
     zero; decidable syntactically."""
-    if isinstance(e, Atom):
-        return True
-    if isinstance(e, Sum):
-        return all(is_proper(t) for t in e.terms)
-    if isinstance(e, Cat):
-        return is_proper(e.left) or is_proper(e.right)
-    if isinstance(e, Star):
-        return False
-    if isinstance(e, Scale):
-        return is_proper(e.inner)
-    raise TypeError(f"not a converging expression: {e!r}")
+    proper = _properness(e)[id(e)]
+    if isinstance(proper, Expr):
+        raise TypeError(f"not a converging expression: {proper!r}")
+    return proper
 
 
 _NODE_LEVEL = {Atom: "conv", Cat: "conv", Star: "conv", Omega: "div",
@@ -107,29 +106,91 @@ def _operands(e: Expr) -> tuple:
         return e.terms
     if not isinstance(e, Expr):
         raise TypeError(f"not a series expression: {e!r}")
-    return tuple(getattr(e, name) for name, kind in e._fields.items() if kind == "Expr")
+    return tuple(getattr(e, name) for name in e._operand_fields)
+
+
+def _post_order(root: Expr) -> list:
+    """The distinct nodes under ``root`` (by identity), each after all of its
+    operands, found with an explicit stack, so depth costs no recursion.
+    Computed once per root: the list is cached on it."""
+    order = root.__dict__.get("_post_order") if isinstance(root, Expr) else None
+    if order is not None:
+        return order
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((part, False) for part in reversed(_operands(node)))
+    object.__setattr__(root, "_post_order", order)
+    return order
+
+
+def _properness(root: Expr) -> dict:
+    """id(node) -> is_proper(node) for every node under ``root``; where that
+    raises, the value is the non-converging node it names."""
+    proper = {}
+    for node in _post_order(root):
+        parts = [proper[id(part)] for part in _operands(node)]
+        if isinstance(node, Atom):
+            out = True
+        elif isinstance(node, Star):
+            out = False
+        elif isinstance(node, Sum):  # all(): stops at the first improper term
+            out = next((p for p in parts if p is not True), True)
+        elif isinstance(node, Cat):  # or: the right operand only if needed
+            out = parts[0] if parts[0] is not False else parts[1]
+        elif isinstance(node, Scale):
+            out = parts[0]
+        else:
+            out = node
+        proper[id(node)] = out
+    return proper
 
 
 def expr_level(e: Expr) -> str:
     """'conv', 'div', or 'bidiv'; sums and scales take their operands' level.
     Raises TypeError unless every operand of every other node is converging."""
-    if type(e) in _NODE_LEVEL:
-        if any(expr_level(part) != "conv" for part in _operands(e)):
-            raise TypeError(f"{type(e).__name__} needs converging operands")
-        return _NODE_LEVEL[type(e)]
-    levels = {expr_level(part) for part in _operands(e)}
-    if len(levels) > 1:
-        raise TypeError(f"sum mixes series levels {sorted(levels)}")
-    return levels.pop() if levels else "conv"
+    level = {}  # id(node) -> its level, or the TypeError computing it raises
+    for node in _post_order(e):
+        parts = [level[id(part)] for part in _operands(node)]
+        if type(node) in _NODE_LEVEL:
+            out = _NODE_LEVEL[type(node)]
+            for part in parts:  # the first operand that is not converging
+                if part != "conv":
+                    out = part if isinstance(part, TypeError) else TypeError(
+                        f"{type(node).__name__} needs converging operands")
+                    break
+        else:
+            out = next((p for p in parts if isinstance(p, TypeError)), None)
+            if out is None:
+                levels = set(parts)
+                out = (TypeError(f"sum mixes series levels {sorted(levels)}")
+                       if len(levels) > 1 else levels.pop() if levels else "conv")
+        level[id(node)] = out
+    if isinstance(level[id(e)], TypeError):
+        raise level[id(e)]
+    return level[id(e)]
 
 
 def validate(e: Expr):
-    """Check the properness side conditions of star/omega/zeta/conjoin."""
-    message = _PROPER_OPERANDS.get(type(e))
-    for part in _operands(e):
-        validate(part)
-        if message is not None and not is_proper(part):
-            raise ImproperStar(message)
+    """Check the properness side conditions of star/omega/zeta/conjoin; an
+    operand is checked right after the operands under it."""
+    order, proper = _post_order(e), _properness(e)
+    required = {}  # id(operand) -> the message that refuses it if improper
+    for node in order:
+        if type(node) in _PROPER_OPERANDS:
+            for part in _operands(node):
+                required.setdefault(id(part), _PROPER_OPERANDS[type(node)])
+    for node in order:
+        if id(node) in required:
+            if isinstance(proper[id(node)], Expr):
+                raise TypeError(f"not a converging expression: {proper[id(node)]!r}")
+            if not proper[id(node)]:
+                raise ImproperStar(required[id(node)])
 
 
 # ---------------------------------------------------------------------------
@@ -137,47 +198,91 @@ def validate(e: Expr):
 
 def _window_coeff(sr: Semiring, word):
     """Returns coeff(node, lo, hi): the coefficient of the converging
-    expression ``node`` on the word positions [lo, hi), by structural
-    recursion memoized over (id(node), lo, hi); ``node`` has passed
-    ``validate``, so every star operand is proper.  The memo lives as long as
-    the returned function, so callers keep every node they pass alive that
-    long."""
-    char_at = word.char_at
-    memo = {}
+    expression ``node`` on the word positions [lo, hi); ``node`` has passed
+    ``validate``, so every star operand is proper.
 
-    def splits(left, right, lo, cuts, hi):
-        """The sum over cuts k of coeff(left, lo, k) * coeff(right, k, hi);
-        the right factor is not evaluated where the left one is zero."""
-        heads = ((k, go(left, lo, k)) for k in cuts)
-        return sr.sum(sr.mul(head, go(right, k, hi))
-                      for k, head in heads if not sr.is_zero(head))
+    Every node keeps one sparse column per window end ``hi``: a dict from
+    each start ``lo`` (down to the least start asked for so far) to the
+    non-zero coefficient of [lo, hi).  A query extends the columns of every
+    node under its root, operands first, up to its own ``hi`` and no
+    further; a start below the least one clears every column.  The returned
+    function keeps each root it was given alive, with its nodes."""
+    char_at, add, mul, is_zero = word.char_at, sr.add, sr.mul, sr.is_zero
+    plans = {}    # id(root) -> (root, [(column rule, node, its columns, operands' columns)])
+    columns = {}  # id(node) -> its columns; columns[k] ends at first + k
+    first = None  # the least start asked for so far
 
-    def go(node, lo, hi):
-        key = (id(node), lo, hi)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Atom):
-            if hi - lo == 1 and char_at(lo) == node.symbol:
-                out = sr.check(node.coeff)
-            else:
-                out = sr.zero
-        elif isinstance(node, Sum):
-            out = sr.sum(go(t, lo, hi) for t in node.terms)
-        elif isinstance(node, Cat):
-            out = splits(node.left, node.right, lo, range(lo, hi + 1), hi)
-        elif isinstance(node, Star):
-            # first block non-empty, so the recursion shrinks
-            out = sr.one if lo == hi else splits(node.inner, node, lo,
-                                                 range(lo + 1, hi + 1), hi)
-        elif isinstance(node, Scale):
-            out = sr.mul(sr.mul(sr.check(node.left_coeff), go(node.inner, lo, hi)),
-                         sr.check(node.right_coeff))
-        else:
-            raise TypeError(f"not a converging expression: {node!r}")
-        memo[key] = out
-        return out
+    def nonzero(out):
+        return {lo: v for lo, v in out.items() if not is_zero(v)}
 
-    return go
+    def accumulate(out, lo, value):
+        out[lo] = add(out[lo], value) if lo in out else value
+
+    # the column rules: the column of ``node`` at window end ``hi`` from the
+    # columns of its operands, ``parts``
+
+    def atom(node, parts, hi):
+        if hi > first and char_at(hi - 1) == node.symbol:
+            return nonzero({hi - 1: sr.check(node.coeff)})
+        return {}
+
+    def scale(node, parts, hi):
+        left, right = sr.check(node.left_coeff), sr.check(node.right_coeff)
+        return nonzero({lo: mul(mul(left, v), right) for lo, v in parts[0][hi - first].items()})
+
+    def total(node, parts, hi):
+        out = {}
+        for part in parts:
+            for lo, v in part[hi - first].items():
+                accumulate(out, lo, v)
+        return nonzero(out)
+
+    def cat(node, parts, hi):
+        left, right = parts
+        out = {}
+        for k, b in right[hi - first].items():
+            for lo, a in left[k - first].items():
+                accumulate(out, lo, mul(a, b))
+        return nonzero(out)
+
+    def star(node, parts, hi):
+        """A non-empty first block [lo, k), then the star again on [k, hi);
+        ``out[k]`` is complete once the sweep reaches k."""
+        inner, out = parts[0], {hi: sr.one}
+        for k in range(hi, first - 1, -1):
+            if k in out and not is_zero(out[k]):
+                for lo, a in inner[k - first].items():
+                    if lo < k:
+                        accumulate(out, lo, mul(a, out[k]))
+        return nonzero(out)
+
+    rules = {Atom: atom, Scale: scale, Sum: total, Cat: cat, Star: star}
+
+    def plan(root):
+        if id(root) not in plans:
+            steps = []
+            for node in _post_order(root):
+                if type(node) not in rules:
+                    raise TypeError(f"not a converging expression: {node!r}")
+                own = columns.setdefault(id(node), [])
+                steps.append((rules[type(node)], node, own,
+                              [columns[id(part)] for part in _operands(node)]))
+            plans[id(root)] = (root, steps)
+        return plans[id(root)][1]
+
+    def coeff(root, lo, hi):
+        nonlocal first
+        steps = plan(root)
+        if first is None or lo < first:
+            first = lo
+            for own in columns.values():
+                own.clear()
+        for rule, node, own, parts in steps:
+            for end in range(first + len(own), hi + 1):
+                own.append(rule(node, parts, end))
+        return columns[id(root)][hi - first].get(lo, sr.zero)
+
+    return coeff
 
 
 def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
@@ -206,7 +311,8 @@ class _OracleSeries:
     two-sided window that starts at 0.  ``_value(start, n)`` distributes
     sums and scales over the leaves (of the subclass's ``_leaves`` types);
     each leaf's tester and indicator are built once, keyed by identity, and
-    one memo over absolute word positions serves every window."""
+    one set of window columns over absolute word positions serves every
+    window."""
 
     def __init__(self, sr: Semiring, e: Expr, word, chi: ActivationPolicy = AUTO):
         validate(e)
@@ -286,13 +392,13 @@ class BidivSeries(_OracleSeries):
 
     def _horizon_windows(self, bound):
         """Windows that reach [K/2, K] positions beyond the center on each
-        side."""
+        side; the least start comes first, so the columns are built once."""
         word = self.word
         half = max(1, bound // 2)
         end = len(word.center)
         return ((word.origin + lo, word.origin + hi)
-                for lo in range(-half, -bound - 1, -1)
-                for hi in range(end + half, end + bound + 1))
+                for hi in range(end + half, end + bound + 1)
+                for lo in range(-bound, -half + 1))
 
 
 def div_coeff(sr: Semiring, e: Expr, word: UPInfiniteWord, n: int,

@@ -724,8 +724,8 @@ def nested_expression(depth):
 
 @pytest.mark.parametrize("command, text, extra", [
     ("to-rational", chain_automaton(300), ["--level", "conv"]),
-    ("from-rational", nested_expression(400), []),
-    ("eval", nested_expression(400), ["--word", "a a"]),
+    ("from-rational", nested_expression(2000), []),
+    ("eval", nested_expression(2000), ["--word", "a a"]),
 ], ids=["to-rational-chain", "from-rational-nested", "eval-nested"])
 def test_deep_nesting_is_one_error_line(tmp_path, capsys, command, text, extra):
     source, out = tmp_path / "deep.txt", tmp_path / "out.txt"
@@ -733,6 +733,17 @@ def test_deep_nesting_is_one_error_line(tmp_path, capsys, command, text, extra):
     argv = [command, str(source), *extra] + (["--out", str(out)] if command != "eval" else [])
     assert run(capsys, *argv) == (1, "", "error: expression nested too deeply\n")
     assert not out.exists()
+
+
+def test_expression_400_deep_answers(tmp_path, capsys):
+    """Only the parser, compile and the formatters recurse once per level, so
+    400 nested products are evaluated and compiled."""
+    source, out = tmp_path / "deep.expr", tmp_path / "deep.aut"
+    source.write_text(nested_expression(400))
+    word = " ".join("a" * 400)
+    assert run(capsys, "eval", str(source), "--word", word) == (0, "1\n", "")
+    assert run(capsys, "from-rational", str(source), "--out", str(out)) == (0, "", "")
+    assert run(capsys, "eval", str(out), "--word", word) == (0, "1\n", "")
 
 
 def zero_norm_state(tmp_path):

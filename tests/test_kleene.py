@@ -8,6 +8,7 @@ from divaut.automaton import (
     AutomatonClass,
     classify,
     converging_weight,
+    trim,
     zero_automaton,
 )
 from divaut.kleene import (
@@ -32,6 +33,7 @@ from divaut.series import (
     ZERO,
     conv_coeff,
     is_proper,
+    to_characteristic,
 )
 
 from conftest import (
@@ -293,6 +295,30 @@ def test_compile_never_normalizes_empty_word_acceptors():
     for _ in range(20):
         expr = random_div_expr(rng, NATURAL, 3)
         compile_div(NATURAL, AB, expr)
+
+
+def test_compile_div_and_bidiv_are_trim():
+    """No dead state unless an operand's series is zero or a term is scaled
+    by zero."""
+    rng = random.Random(43)
+    trimmed = 0
+    for case in range(80):
+        sr = (NATURAL, BOOLEAN, RATIONAL, GAUSSIAN)[case % 4]
+        level = ("div", "bidiv")[case // 4 % 2]
+        generate, compile_ = ((random_div_expr, compile_div) if level == "div"
+                              else (random_bidiv_expr, compile_bidiv))
+        expr = generate(rng, sr, rng.randint(0, 3))
+        form = to_characteristic(sr, expr, level)
+        terms = form.conjoin_terms + form.iteration_terms
+        if any(sr.is_zero(left) or sr.is_zero(right) for left, *_, right in terms):
+            continue
+        if any(trim(compile_conv(sr, AB, operand)).num_states == 0
+               for _, *operands, _ in terms for operand in operands):
+            continue
+        aut = compile_(sr, AB, expr)
+        assert trim(aut).num_states == aut.num_states, (level, expr)
+        trimmed += 1
+    assert trimmed >= 40
 
 
 # ---------------------------------------------------------------------------

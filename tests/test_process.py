@@ -35,9 +35,9 @@ def write_broken(path):
 
 
 def write_nested(path):
-    """An expression nested deeper than the recursive walks can follow."""
+    """An expression nested deeper than the recursive parser can follow."""
     path.write_text("semiring: natural\nalphabet: [a]\nexpr: "
-                    + "cat(sym(a, 1), " * 399 + "sym(a, 1)" + ")" * 399 + "\n")
+                    + "cat(sym(a, 1), " * 1999 + "sym(a, 1)" + ")" * 1999 + "\n")
     return str(path)
 
 

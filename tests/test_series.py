@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divaut.kleene
 import divaut.series
 from divaut.activation import AUTO, horizon
 from divaut.errors import ImproperStar
-from divaut.semiring import BOOLEAN, NATURAL, RATIONAL
+from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL
 from divaut.series import (
     Atom,
     BidivSeries,
@@ -21,6 +23,7 @@ from divaut.series import (
     Sum,
     ZERO,
     Zeta,
+    _window_coeff,
     bidiv_coeff,
     conv_coeff,
     div_coeff,
@@ -33,6 +36,8 @@ from divaut.series import (
 from conftest import (
     bi_word,
     finite,
+    random_conv_expr,
+    random_finite_word,
     up_word,
 )
 
@@ -114,6 +119,86 @@ def test_star_split_enumeration_terminates_on_long_words():
     expr = Star(Sum((Atom("a", 1), Cat(Atom("a", 1), Atom("b", 1)))))
     value = conv_coeff(NATURAL, expr, finite("ab" * 6 + "a" * 4))
     assert value >= 1
+
+
+def test_deep_products_need_no_recursion():
+    deep = Atom("a", 2)
+    for _ in range(5000):
+        deep = Cat(EPSILON, deep)
+    assert conv_coeff(NATURAL, deep, finite("a")) == 2
+    series = DivSeries(NATURAL, Omega(deep), up_word([], "a"), chi=horizon(16))
+    assert [series.at(n) for n in range(5)] == [1, 2, 4, 8, 16]
+
+
+# ---------------------------------------------------------------------------
+# window columns against the definition
+
+def naive_coeff(sr, node, word, lo, hi):
+    """The coefficient of ``node`` on the positions [lo, hi) of ``word``,
+    straight from the definition: unmemoized sums over every cut."""
+    if isinstance(node, Atom):
+        hit = hi - lo == 1 and word.char_at(lo) == node.symbol
+        return sr.check(node.coeff) if hit else sr.zero
+    if isinstance(node, Sum):
+        return sr.sum(naive_coeff(sr, t, word, lo, hi) for t in node.terms)
+    if isinstance(node, Scale):
+        inner = naive_coeff(sr, node.inner, word, lo, hi)
+        return sr.mul(sr.mul(sr.check(node.left_coeff), inner), sr.check(node.right_coeff))
+    if isinstance(node, Cat):
+        return sr.sum(sr.mul(naive_coeff(sr, node.left, word, lo, k),
+                             naive_coeff(sr, node.right, word, k, hi))
+                      for k in range(lo, hi + 1))
+    # a star: the empty word, or a non-empty first block and the star again
+    if lo == hi:
+        return sr.one
+    return sr.sum(sr.mul(naive_coeff(sr, node.inner, word, lo, k),
+                         naive_coeff(sr, node, word, k, hi))
+                  for k in range(lo + 1, hi + 1))
+
+
+def assert_every_window_matches(sr, expr, word, rng):
+    """Every window of ``word``, asked of one set of columns in a shuffled
+    order, so that a start below the earlier ones rebuilds them."""
+    windows = [(lo, hi) for hi in range(len(word) + 1) for lo in range(hi + 1)]
+    rng.shuffle(windows)
+    coeff = _window_coeff(sr, word)
+    for lo, hi in windows:
+        assert sr.eq(coeff(expr, lo, hi), naive_coeff(sr, expr, word, lo, hi)), (lo, hi)
+    assert sr.eq(conv_coeff(sr, expr, word), naive_coeff(sr, expr, word, 0, len(word)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([BOOLEAN, NATURAL, RATIONAL, GAUSSIAN]))
+def test_window_columns_match_the_definition(seed, sr):
+    rng = random.Random(seed)
+    expr = random_conv_expr(rng, sr, rng.randint(0, 3), proper=rng.random() < 0.5)
+    assert_every_window_matches(sr, expr, random_finite_word(rng, max_len=6), rng)
+
+
+def test_window_columns_drop_cancelled_sums():
+    a, b = Atom("a", Fraction(1)), Atom("b", Fraction(2))
+    zero = Sum((Cat(a, b), Scale(Fraction(-1), Cat(a, b), Fraction(1))))
+    expr = Cat(Star(Sum((zero, a))), Sum((zero, b)))  # a* b, coefficient 2
+    rng = random.Random(5)
+    for text in ("aab", "abab", "ab", "abb", "b"):
+        assert_every_window_matches(RATIONAL, expr, finite(text), rng)
+    assert conv_coeff(RATIONAL, expr, finite("aab")) == 2
+    assert conv_coeff(RATIONAL, expr, finite("abab")) == 0
+
+
+def test_columns_stop_at_the_largest_end_asked_for():
+    word, read = up_word("ab", "ba"), []
+
+    class Watched:
+        def char_at(self, i):
+            read.append(i)
+            return word.char_at(i)
+
+    coeff = _window_coeff(NATURAL, Watched())
+    expr = Star(Sum((Atom("a", 1), Cat(Atom("b", 1), Atom("a", 1)))))
+    for hi in range(6):
+        coeff(expr, 0, hi)
+        assert max(read, default=-1) == hi - 1
 
 
 # ---------------------------------------------------------------------------
