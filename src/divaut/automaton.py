@@ -487,8 +487,12 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
     exactly (same weights everywhere).  Each automaton is read once, as a
     ``{(i, j, symbol): weight}`` map of its edges; states pair up by
     signature (end weights and the edges touching them), then by
-    backtracking search.  Meant for the small automata produced by the
-    structural constructions."""
+    backtracking search without recursion.  A candidate that passes its
+    check has been compared with every state mapped so far, so even a search
+    that never backtracks takes time quadratic in the number of states: a
+    600-state chain takes about 0.5 s against itself and 1-2 s against a
+    copy with its states in reverse order (CPython 3.11, one core of a
+    shared 2-CPU machine)."""
     if a.semiring is not b.semiring or a.alphabet != b.alphabet:
         return False
     if a.num_states != b.num_states:
@@ -515,14 +519,28 @@ def isomorphic(a: Automaton, b: Automaton) -> bool:
 
     def consistent(mapping, s, t):
         """Can state s of ``a`` go to state t of ``b``, given ``mapping``
-        (state k of ``a`` to mapping[k])?"""
+        (state k of ``a`` to mapping[k])?  The states mapped last, often
+        the neighbours of s, are checked first."""
         return sr.eq(a.initial[s], b.initial[t]) and sr.eq(a.final[s], b.final[t]) \
-            and all(agree(s, s2, t, t2) and agree(s2, s, t2, t)
-                    for s2, t2 in (*enumerate(mapping), (s, t)))
+            and agree(s, s, t, t) and all(agree(s, s2, t, mapping[s2])
+                                          and agree(s2, s, mapping[s2], t)
+                                          for s2 in reversed(range(s)))
 
-    def search(mapping):
+    # backtracking with an explicit stack: untried[k] holds the candidates
+    # not tried yet for each state k up to s
+    mapping, used, untried = [], set(), []
+    while len(mapping) < n:
         s = len(mapping)
-        return s == n or any(t not in mapping and consistent(mapping, s, t)
-                             and search(mapping + [t]) for t in candidates[s])
-
-    return search([])
+        if len(untried) == s:
+            untried.append(iter(candidates[s]))
+        t = next((t for t in untried[s] if t not in used and consistent(mapping, s, t)),
+                 None)
+        if t is None:  # no place left for state s: undo the choice before it
+            if not mapping:
+                return False
+            untried.pop()
+            used.discard(mapping.pop())
+        else:
+            mapping.append(t)
+            used.add(t)
+    return True

@@ -314,20 +314,31 @@ def parse_expression_file(text: str) -> ExpressionFile:
 
 
 def format_expr(sr: Semiring, e: Expr) -> str:
+    """The text of ``e``, written from an explicit stack of pending nodes
+    and text pieces, so depth costs no recursion."""
+    out, stack = [], [_node(e)]
+    while stack:
+        item = stack.pop()
+        if type(item) not in _HEAD_OF:
+            out.append(item)
+            continue
+        args = []
+        for name, kind in _ARGS[type(item)]:
+            value = getattr(item, name)
+            if kind == "tuple":
+                args += map(_node, value)
+            else:
+                args.append(_node(value) if kind == "Expr" else value if kind == "str"
+                            else sr.format(sr.check(value)))
+        pieces = [p for arg in args for p in (", ", arg)][1:]  # args joined by ", "
+        stack += reversed([f"{_HEAD_OF[type(item)]}(", *pieces, ")"])
+    return "".join(out)
+
+
+def _node(e):
     if type(e) not in _HEAD_OF:
         raise TypeError(f"not a series expression: {e!r}")
-    args = (_format_arg(sr, kind, getattr(e, name)) for name, kind in _ARGS[type(e)])
-    return f"{_HEAD_OF[type(e)]}({', '.join(args)})"
-
-
-def _format_arg(sr: Semiring, kind: str, value) -> str:
-    if kind == "Expr":
-        return format_expr(sr, value)
-    if kind == "tuple":
-        return ", ".join(format_expr(sr, t) for t in value)
-    if kind == "str":
-        return value
-    return sr.format(sr.check(value))
+    return e
 
 
 def format_expression_file(sr: Semiring, alphabet: Alphabet, e: Expr) -> str:

@@ -1,8 +1,9 @@
 """Rational-expression ASTs for converging, diverging, and bidiverging power
 series, plus a direct coefficient oracle: one window evaluator for both
-infinite levels.  An evaluation context keeps, for every node and window
-end, one sparse column of coefficients over the window starts, built from
-the operands' columns without recursion.  Only the ``auto``/``exact``
+infinite levels, which reads the characteristic form that ``kleene``
+compiles from term by term.  An evaluation context keeps, for every node
+and window end, one sparse column of coefficients over the window starts,
+built from the operands' columns without recursion.  Only the ``auto``/``exact``
 acceptance indicators build an automaton; the ``horizon:K`` indicator scans
 windows through the same columns and never builds one.
 """
@@ -153,7 +154,11 @@ def _properness(root: Expr) -> dict:
 
 def expr_level(e: Expr) -> str:
     """'conv', 'div', or 'bidiv'; sums and scales take their operands' level.
-    Raises TypeError unless every operand of every other node is converging."""
+    Raises TypeError unless every operand of every other node is converging.
+    Computed once per root: a level is cached on it."""
+    cached = e.__dict__.get("_level") if isinstance(e, Expr) else None
+    if cached is not None:
+        return cached
     level = {}  # id(node) -> its level, or the TypeError computing it raises
     for node in _post_order(e):
         parts = [level[id(part)] for part in _operands(node)]
@@ -173,6 +178,7 @@ def expr_level(e: Expr) -> str:
         level[id(node)] = out
     if isinstance(level[id(e)], TypeError):
         raise level[id(e)]
+    object.__setattr__(e, "_level", level[id(e)])
     return level[id(e)]
 
 
@@ -296,54 +302,49 @@ def conv_coeff(sr: Semiring, e: Expr, word: FiniteWord):
 # ---------------------------------------------------------------------------
 # diverging / bidiverging coefficients
 
-def _tester(leaf: Expr) -> Expr:
-    """The converging expression whose coefficient on a window is the
-    leaf's value there, once its acceptance indicator holds."""
-    if isinstance(leaf, (Omega, Zeta)):
-        return Star(leaf.inner)
-    if isinstance(leaf, Conjoin2):
-        return Cat(leaf.first, Star(leaf.second))
-    return Cat(Star(leaf.first), Cat(leaf.middle, Star(leaf.second)))
+def _tester(*operands: Expr) -> Expr:
+    """The converging expression whose coefficient on a window is the value
+    of the characteristic term with these operands, once its acceptance
+    indicator holds."""
+    if len(operands) == 1:
+        return Star(operands[0])
+    if len(operands) == 2:
+        return Cat(operands[0], Star(operands[1]))
+    first, middle, second = operands
+    return Cat(Star(first), Cat(middle, Star(second)))
 
 
 class _OracleSeries:
     """Evaluation context shared by both levels: a one-sided value is the
-    two-sided window that starts at 0.  ``_value(start, n)`` distributes
-    sums and scales over the leaves (of the subclass's ``_leaves`` types);
-    each leaf's tester and indicator are built once, keyed by identity, and
-    one set of window columns over absolute word positions serves every
-    window."""
+    two-sided window that starts at 0.  The oracle reads the characteristic
+    form (the subclass names its ``level``): ``_value(start, n)`` sums each
+    term's coefficients times its tester's coefficient on the window.
+    Terms with the same operands share one tester, whose indicator is
+    decided once, at the first value; one set of window columns over
+    absolute word positions serves every window."""
 
     def __init__(self, sr: Semiring, e: Expr, word, chi: ActivationPolicy = AUTO):
-        validate(e)
-        expr_level(e)  # refuses a tree whose operands mix levels
+        form = to_characteristic(sr, e, self.level)
         self.semiring = sr
         self.expr = e
         self.word = word
         self.chi_policy = chi
         self._coeff = _window_coeff(sr, word)
-        self._testers = {}  # id(leaf) -> (tester, indicator)
+        testers = {}  # the ids of a term's operands -> their tester
+        self._terms = [(left, testers.setdefault(tuple(map(id, parts)), _tester(*parts)), right)
+                       for left, *parts, right in form.conjoin_terms + form.iteration_terms]
+        self._testers = list(testers.values())
+        self._live = None  # the terms whose tester's indicator holds, once decided
 
     def _value(self, start: int, n: int):
         if n < 0:
             raise IndexError("window length must be a natural number")
-        return self._eval(self.expr, start, start + n)
-
-    def _eval(self, node, lo, hi):
-        sr = self.semiring
-        if isinstance(node, Sum):
-            return sr.sum(self._eval(t, lo, hi) for t in node.terms)
-        if isinstance(node, Scale):
-            return sr.mul(sr.mul(sr.check(node.left_coeff),
-                                 self._eval(node.inner, lo, hi)),
-                          sr.check(node.right_coeff))
-        if not isinstance(node, self._leaves):
-            raise TypeError(f"not a {self._kind} expression: {node!r}")
-        if id(node) not in self._testers:
-            tester = _tester(node)
-            self._testers[id(node)] = (tester, self._chi(tester))
-        tester, live = self._testers[id(node)]
-        return self._coeff(tester, lo, hi) if live else sr.zero
+        if self._live is None:
+            live = {id(tester) for tester in self._testers if self._chi(tester)}
+            self._live = [term for term in self._terms if id(term[1]) in live]
+        sr, coeff, hi = self.semiring, self._coeff, start + n
+        return sr.sum(sr.mul(sr.mul(left, coeff(tester, start, hi)), right)
+                      for left, tester, right in self._live)
 
     def _chi(self, tester: Expr) -> bool:
         """Is the tester non-zero on windows that grow without bound?
@@ -369,8 +370,7 @@ class DivSeries(_OracleSeries):
     class).
     """
 
-    _leaves = (Omega, Conjoin2)
-    _kind = "diverging"
+    level = "div"
 
     def at(self, n: int):
         return self._value(0, n)
@@ -384,8 +384,7 @@ class BidivSeries(_OracleSeries):
     """Evaluation context for one (bidiverging expression, biinfinite word)
     pair."""
 
-    _leaves = (Zeta, Conjoin3)
-    _kind = "bidiverging"
+    level = "bidiv"
 
     def at(self, i: int, n: int):
         return self._value(i, n)
@@ -434,25 +433,23 @@ def to_characteristic(sr: Semiring, e: Expr, level: str = None) -> Characteristi
         if level is not None and declared != level:
             raise TypeError(f"expected a {level}-level expression, got {declared}")
         level = declared
-    # a conv-level tree can only be the zero series here; the walk below
-    # rejects any real converging leaf
-    conjoins = []
-    iterations = []
-
-    def walk(node, left, right):
+    # a conv-level tree can only be the zero series here; the loop below
+    # rejects any real converging leaf.  Each step pops (node, left, right):
+    # a sum pushes its terms in reverse, so terms come out in tree order.
+    conjoins, iterations = [], []
+    stack = [(e, sr.one, sr.one)]
+    while stack:
+        node, left, right = stack.pop()
         if isinstance(node, Sum):
-            for t in node.terms:
-                walk(t, left, right)
+            stack.extend((t, left, right) for t in reversed(node.terms))
         elif isinstance(node, Scale):
-            walk(node.inner, sr.mul(left, sr.check(node.left_coeff)),
-                 sr.mul(sr.check(node.right_coeff), right))
+            stack.append((node.inner, sr.mul(left, sr.check(node.left_coeff)),
+                          sr.mul(sr.check(node.right_coeff), right)))
         elif isinstance(node, (Omega, Zeta, Conjoin2, Conjoin3)):
             parts = _operands(node)
             (conjoins if len(parts) > 1 else iterations).append((left, *parts, right))
         else:
             raise TypeError(f"unexpected node in characteristic flattening: {node!r}")
-
-    walk(e, sr.one, sr.one)
     return CharacteristicForm(level, tuple(conjoins), tuple(iterations))
 
 

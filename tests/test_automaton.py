@@ -505,6 +505,19 @@ def test_behavior_homomorphism_converging():
                 beta * converging_weight(b, word) * delta
 
 
+def test_isomorphic_needs_no_recursion():
+    def chain(order, first_weight=1):
+        edges = [(p, q, "a", first_weight if k == 0 else 1)
+                 for k, (p, q) in enumerate(zip(order, order[1:]))]
+        return Automaton.build(NATURAL, AB, len(order), {order[0]: 1}, {order[-1]: 1}, edges)
+
+    states = list(range(500))
+    forward = chain(states)
+    assert isomorphic(forward, forward)
+    assert isomorphic(forward, chain(states[::-1]))
+    assert not isomorphic(forward, chain(states, first_weight=2))
+
+
 def test_isomorphic_detects_relabeling(figure_two):
     edges = [(2, 0, "a", 2), (2, 1, "a", 1), (0, 2, "b", 1), (1, 2, "b", 2)]
     relabeled = Automaton.build(NATURAL, AB, 3, {2: 1, 0: 2}, {1: 2}, edges)

@@ -28,9 +28,11 @@ from divaut.series import (
     Conjoin2,
     DivSeries,
     Omega,
+    Scale,
     Star,
     Sum,
     ZERO,
+    Zeta,
     conv_coeff,
     is_proper,
     to_characteristic,
@@ -295,6 +297,16 @@ def test_compile_never_normalizes_empty_word_acceptors():
     for _ in range(20):
         expr = random_div_expr(rng, NATURAL, 3)
         compile_div(NATURAL, AB, expr)
+
+
+def test_compile_deep_scales_needs_no_recursion():
+    div, bidiv = Omega(Atom("a", 1)), Zeta(Atom("a", 1))
+    for _ in range(5000):
+        div, bidiv = Scale(1, Sum((div,)), 1), Scale(1, Sum((bidiv,)), 1)
+    up, bi = up_word([], "a"), bi_word("a", "", "a")
+    assert div_table(compile_div(NATURAL, AB, div), up, 4) == [1] * 5
+    behavior = BidivergingBehavior(compile_bidiv(NATURAL, AB, bidiv), bi)
+    assert [behavior.at(0, n) for n in range(5)] == [1] * 5
 
 
 def test_compile_div_and_bidiv_are_trim():

@@ -336,6 +336,53 @@ def test_horizon_indicator_needs_no_automaton(monkeypatch):
     assert tables(horizon(16)) == expected
 
 
+def deep_scales(leaf, depth=5000):
+    """``leaf`` under ``depth`` nested ``Scale(1, Sum((.,)), 1)``."""
+    for _ in range(depth):
+        leaf = Scale(1, Sum((leaf,)), 1)
+    return leaf
+
+
+@pytest.mark.parametrize("chi", [AUTO, horizon(16)], ids=["auto", "horizon"])
+def test_deep_scales_over_leaves_need_no_recursion(chi):
+    div = deep_scales(Omega(Atom("a", 1)))
+    assert DivSeries(NATURAL, div, up_word([], "a"), chi).at(3) == 1
+    bidiv = deep_scales(Zeta(Atom("a", 1)))
+    assert BidivSeries(NATURAL, bidiv, bi_word("a", "", "a"), chi).at(0, 3) == 1
+
+
+def test_leaf_under_two_scales_is_decided_once(monkeypatch):
+    leaf = Conjoin2(Atom("b", 1), Sum((Atom("a", 1), Atom("a", 2))))
+    word = up_word("b", "a")
+    compile_conv, compiled = divaut.kleene.compile_conv, []
+
+    def counting(*args):
+        compiled.append(args)
+        return compile_conv(*args)
+
+    monkeypatch.setattr(divaut.kleene, "compile_conv", counting)
+    series = DivSeries(NATURAL, Sum((Scale(2, leaf, 3), Scale(5, leaf, 1))), word)
+    values = [series.at(n) for n in range(6)]
+    assert len(compiled) == 1
+    alone = DivSeries(NATURAL, leaf, word)
+    assert values == [11 * alone.at(n) for n in range(6)]
+    assert alone.at(3) == 9
+
+
+def test_expr_level_is_cached_on_the_root(monkeypatch):
+    expr = Sum((Omega(Cat(Atom("a", 1), Atom("b", 1))), Conjoin2(Atom("a", 1), Atom("b", 1))))
+    assert expr_level(expr) == "div"
+    operands, calls = divaut.series._operands, []
+
+    def counting(e):
+        calls.append(e)
+        return operands(e)
+
+    monkeypatch.setattr(divaut.series, "_operands", counting)
+    assert expr_level(expr) == "div"
+    assert calls == []
+
+
 def test_series_rejects_leaves_of_the_other_level():
     with pytest.raises(TypeError):
         DivSeries(NATURAL, Zeta(Atom("a", 1)), up_word([], "a")).at(0)
