@@ -34,12 +34,13 @@ denominator, and an end vector is one integer column per numerator of a
 value: a Q(i) row is its real and imaginary integer rows side by side, and
 a Q(i) end vector two columns, for the real and the imaginary part.  Over
 the Booleans and the naturals the lifted automaton is the automaton itself.
-Zero tests never reduce, and the masked evaluator reduces each value once.
+Zero tests never reduce, and the masked evaluator reduces only the values
+asked for.
 """
 from __future__ import annotations
 
 from ._record import Record
-from .automaton import Automaton, _on_paths, advance_col, advance_row
+from .automaton import Automaton, _on_paths, _restrict, advance_col, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import BOOLEAN, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
@@ -273,10 +274,16 @@ def activates_bidiverging(aut: Automaton, word: BiInfiniteWord, i: int, f: int,
 class _MaskedBehavior:
     """Masked evaluation shared by the one- and two-sided contexts.
 
-    Activation verdicts are decided once and reused for every window.
+    Activation verdicts are decided once and reused for every window.  The
+    values are those of the automaton restricted to the states on some path
+    from a live initial state to a live final one: a masked value sums only
+    paths between a live pair, and every state of such a path is kept.
     Initial states with the same live finals share one row, started from
-    their weighted sum; per window start, the current rows and the values
-    computed so far are cached, so no full matrix product is ever formed.
+    their weighted sum.  Per window start, the current rows, their position
+    and scale, and the values returned so far are cached: a request steps
+    the rows to its length and reduces that value alone, and a length below
+    the position that is not cached starts the window again.  No full matrix
+    product is ever formed.
     """
 
     def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
@@ -284,7 +291,6 @@ class _MaskedBehavior:
         self.word = word
         self.policy = policy
         self._verdict = activation_verdicts(aut, word, policy)
-        self._lift, self._scales = aut._lifted()[:2]
         sr = aut.semiring
         live_finals = {}
         for (i, f), live in self._verdict.pairs.items():
@@ -293,9 +299,12 @@ class _MaskedBehavior:
         groups = {}  # live finals -> the initial states that reach exactly them
         for i, ends in live_finals.items():
             groups.setdefault(tuple(ends), []).append(i)
+        keep = _on_paths(aut.num_states, aut.edges(), live_finals,
+                         {f for ends in groups for f in ends})
+        self._lift, self._scales = _restrict(aut, keep)._lifted()[:2]
 
         def masked(vector, states):
-            return [vector[s] if s in states else sr.zero for s in range(aut.num_states)]
+            return [vector[s] if s in states else sr.zero for s in keep]
 
         first, self._starts = sr._clear([masked(aut.initial, starts)
                                          for starts in groups.values()])
@@ -304,7 +313,7 @@ class _MaskedBehavior:
         self._ends = [[_sparse(ring, col) for col in part]
                       for part in parts]  # per numerator, per group: a sparse column
         self._scale = first * last
-        self._windows = {}  # window start -> [current rows, their scale, values so far]
+        self._windows = {}  # window start -> [rows, position, scale, values by length]
 
     @property
     def verdict(self) -> ActivationVerdict:
@@ -313,19 +322,22 @@ class _MaskedBehavior:
     def _value(self, start: int, n: int):
         if n < 0:
             raise IndexError("window length must be a natural number")
+        window = self._windows.setdefault(start, [self._starts, 0, self._scale, {}])
+        values = window[3]
+        if n in values:
+            return values[n]
+        rows, position, scale = window[:3] if n >= window[1] else (self._starts, 0, self._scale)
         lifted = self._lift
+        for k in range(start + position, start + n):
+            symbol = self.word.char_at(k)
+            rows = [advance_row(lifted, row, symbol) for row in rows]
+            scale *= self._scales[symbol]
+        window[:3] = rows, n, scale
         sr = lifted.semiring
-        window = self._windows.setdefault(start, [list(self._starts), self._scale, []])
-        rows, values = window[0], window[2]
-        while len(values) <= n:
-            if values:
-                symbol = self.word.char_at(start + len(values) - 1)
-                rows[:] = [advance_row(lifted, row, symbol) for row in rows]
-                window[1] *= self._scales[symbol]
-            values.append(self.automaton.semiring._reduce(
-                [sr.sum(sr.mul(row[j], w) for row, col in zip(rows, part) for j, w in col)
-                 for part in self._ends], window[1]))
-        return values[n]
+        values[n] = value = self.automaton.semiring._reduce(
+            [sr.sum(sr.mul(row[j], w) for row, col in zip(rows, part) for j, w in col)
+             for part in self._ends], scale)
+        return value
 
 
 class DivergingBehavior(_MaskedBehavior):

@@ -247,20 +247,24 @@ def trim(aut: Automaton) -> Automaton:
     from an initial state or not co-reachable to a final one).  Behavior is
     unchanged at every level: removed states never contribute to a path sum,
     and activation only looks at path sums."""
-    sr = aut.semiring
-    keep = _on_paths(aut.num_states, list(aut.edges()), aut.initial_states(),
-                     aut.final_states())
+    return _restrict(aut, _on_paths(aut.num_states, aut.edges(), aut.initial_states(),
+                                    aut.final_states()))
+
+
+def _restrict(aut: Automaton, keep) -> Automaton:
+    """``aut`` on the states ``keep`` (increasing), renumbered in that order,
+    with the edges between them; ``aut`` itself when ``keep`` is every
+    state, so that its cached lifting is reused."""
     if len(keep) == aut.num_states:
         return aut
     if not keep:
-        return zero_automaton(sr, aut.alphabet)
+        return zero_automaton(aut.semiring, aut.alphabet)
     remap = {old: new for new, old in enumerate(keep)}
     edges = [(remap[i], remap[j], s, w) for i, j, s, w in aut.edges()
              if i in remap and j in remap]
     names = tuple(aut.name_of(s) for s in keep) if aut.state_names else None
-    return Automaton.build(sr, aut.alphabet, len(keep),
-                           {remap[s]: aut.initial[s] for s in keep},
-                           {remap[s]: aut.final[s] for s in keep},
+    return Automaton.build(aut.semiring, aut.alphabet, len(keep),
+                           [aut.initial[s] for s in keep], [aut.final[s] for s in keep],
                            edges, state_names=names)
 
 

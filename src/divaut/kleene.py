@@ -131,6 +131,12 @@ def extract_conv(aut: Automaton) -> Expr:
     intermediate states have already been eliminated; the empty-word weight
     is re-added at the end from the initial/final overlap.  Star only ever
     applies to diagonal entries, which stay proper throughout.
+
+    Once state k is eliminated, later steps read its row only to update
+    that row and its column only to update that column, and at the end only
+    R[i][j] with i initial and j final is read.  So the rows of eliminated
+    non-initial states and the columns of eliminated non-final states are no
+    longer updated; on a chain this makes the elimination linear.
     """
     aut = trim(aut)
     sr = aut.semiring
@@ -139,25 +145,21 @@ def extract_conv(aut: Automaton) -> Expr:
     for i, j, symbol, w in aut.edges():
         table[i][j] = make_sum([table[i][j], Atom(symbol, w)])
 
+    initial = [not sr.is_zero(w) for w in aut.initial]
+    final = [not sr.is_zero(w) for w in aut.final]
     for k in range(n):
         through = make_star(table[k][k])
-        row_k = [(j, e) for j, e in enumerate(table[k]) if e != ZERO]
+        row_k = [(j, e) for j, e in enumerate(table[k]) if (j >= k or final[j]) and e != ZERO]
         col_k = [table[i][k] for i in range(n)]
         for i in range(n):
-            if col_k[i] == ZERO:
+            if (i < k and not initial[i]) or col_k[i] == ZERO:
                 continue
             via = make_cat(col_k[i], through)
             for j, out in row_k:
                 table[i][j] = make_sum([table[i][j], make_cat(via, out)])
 
-    terms = []
-    for i in range(n):
-        if sr.is_zero(aut.initial[i]):
-            continue
-        for j in range(n):
-            if sr.is_zero(aut.final[j]):
-                continue
-            terms.append(make_scale(sr, aut.initial[i], table[i][j], aut.final[j]))
+    terms = [make_scale(sr, aut.initial[i], table[i][j], aut.final[j])
+             for i in range(n) if initial[i] for j in range(n) if final[j]]
     empty_weight = dot(sr, aut.initial, aut.final)
     if not sr.is_zero(empty_weight):
         terms.append(make_scale(sr, empty_weight, EPSILON, sr.one))

@@ -292,4 +292,7 @@ def asymptotic_rate(sequence, n_probe: int) -> GaussianRational:
     if n_probe < 2:
         raise ValueError("probe point must be at least 2")
     at = sequence.at if hasattr(sequence, "at") else sequence
-    return at(n_probe) - at(n_probe - 1)
+    # ascending: a masked evaluator then steps once more, where the other
+    # order would start its window again
+    before = at(n_probe - 1)
+    return at(n_probe) - before

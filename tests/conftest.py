@@ -138,6 +138,13 @@ def random_natural_automaton(rng, max_states=4, alphabet=AB, density=0.4):
                              lambda: rng.randint(1, 2), max_states, alphabet, density)
 
 
+def as_boolean(aut):
+    """The same automaton with its natural weights mapped to their support."""
+    return Automaton.build(BOOLEAN, aut.alphabet, aut.num_states,
+                           [bool(w) for w in aut.initial], [bool(w) for w in aut.final],
+                           [(i, j, s, bool(w)) for i, j, s, w in aut.edges()])
+
+
 def random_finite_word(rng, max_len=8, alphabet=AB):
     return finite([rng.choice(alphabet.symbols)
                    for _ in range(rng.randint(0, max_len))], alphabet)

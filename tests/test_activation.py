@@ -24,9 +24,11 @@ from divaut.words import Alphabet, BiInfiniteWord, UPInfiniteWord, slice_word
 
 from conftest import (
     AB,
+    as_boolean,
     bi_word,
     dense,
     finite,
+    random_gaussian_automaton,
     random_natural_automaton,
     random_rational_automaton,
     random_bi_word,
@@ -530,25 +532,52 @@ def walked_value(aut, word, live, start, n):
     return total
 
 
+def masked_at(aut, word):
+    """(behavior, at(i, n)) for either word shape; a one-sided word has the
+    window start 0 only."""
+    if isinstance(word, UPInfiniteWord):
+        behavior = DivergingBehavior(aut, word)
+        return behavior, lambda i, n: behavior.at(n)
+    behavior = BidivergingBehavior(aut, word)
+    return behavior, behavior.at
+
+
 def test_masked_evaluator_matches_live_pair_walks():
     gadget = grouped_gadget()
+    # two groups of one live pair each, on disjoint states
+    apart = Automaton.build(NATURAL, AB, 4, {0: 1, 2: 3}, {1: 1, 3: 2},
+                            [(i, i + 1, s, 1) for i in (0, 2) for s in "ab"]
+                            + [(1, 1, "a", 1), (1, 1, "b", 2), (3, 3, "a", 3), (3, 3, "b", 1)])
     rng = random.Random(612)
-    cases = [(gadget, up_word([], "ba"), bi_word("ab", "b", "ba"))]
-    cases += [(random_rational_automaton(rng), random_up_word(rng), random_bi_word(rng))
-              for _ in range(8)]
-    for aut, ray, biword in cases:
-        one = DivergingBehavior(aut, ray)
-        two = BidivergingBehavior(aut, biword)
-        for behavior in (one, two):
-            live = [pair for pair, ok in behavior.verdict.pairs.items() if ok]
-            if aut is gadget:
-                assert live == [(0, 3), (1, 3)]
-            for n in range(13):
-                if behavior is one:
-                    assert one.at(n) == walked_value(aut, ray, live, 0, n)
-                else:
-                    for i in (-2, 0, 3):
-                        assert two.at(i, n) == walked_value(aut, biword, live, i, n)
+    cases = [(gadget, up_word([], "ba")), (gadget, bi_word("ab", "b", "ba")),
+             (apart, up_word("a", "ab")), (apart, bi_word("b", "a", "ab"))]
+    makers = [random_rational_automaton, random_natural_automaton, random_gaussian_automaton,
+              lambda rng, **shape: as_boolean(random_natural_automaton(rng, **shape))]
+    for make in makers:
+        for _ in range(6):
+            aut = make(rng, max_states=6, density=0.3)
+            cases += [(aut, random_up_word(rng)), (aut, random_bi_word(rng))]
+    for aut, word in cases:
+        starts = (0,) if isinstance(word, UPInfiniteWord) else (-2, 0, 3)
+        queries = [(i, n) for i in starts for n in range(13)]
+        ordered, at = masked_at(aut, word)
+        table = [at(i, n) for i, n in queries]
+        # shuffled, with repeats: cached values, steps forward and restarts
+        shuffled = queries * 2
+        rng.shuffle(shuffled)
+        _, at = masked_at(aut, word)
+        assert [at(i, n) for i, n in shuffled] == [table[queries.index(q)] for q in shuffled]
+        live = [pair for pair, ok in ordered.verdict.pairs.items() if ok]
+        if aut is gadget:
+            assert live == [(0, 3), (1, 3)]
+        if aut is apart:
+            assert live == [(0, 1), (2, 3)]
+        # the walks sum in Q, where natural and Boolean weights embed
+        exact = aut if aut.semiring in (RATIONAL, GAUSSIAN) else as_rational(aut)
+        walked = [walked_value(exact, word, live, i, n) for i, n in queries]
+        if aut.semiring is BOOLEAN:
+            walked = [value != 0 for value in walked]
+        assert table == walked
     # the dead pair is masked out where it alone is non-zero
     assert converging_weight(gadget, finite("b")) == Fraction(35, 2)
     assert DivergingBehavior(gadget, up_word([], "ba")).at(1) == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from divaut import kleene
 from divaut.activation import BidivergingBehavior, DivergingBehavior
 from divaut.automaton import (
     Automaton,
@@ -20,6 +21,7 @@ from divaut.kleene import (
     extract_div,
 )
 from divaut.errors import UnknownSymbol
+from divaut.fileformat import format_expr
 from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, gaussian
 from divaut.series import (
     Atom,
@@ -27,6 +29,7 @@ from divaut.series import (
     Cat,
     Conjoin2,
     DivSeries,
+    EPSILON,
     Omega,
     Scale,
     Star,
@@ -35,11 +38,17 @@ from divaut.series import (
     Zeta,
     conv_coeff,
     is_proper,
+    make_cat,
+    make_scale,
+    make_star,
+    make_sum,
     to_characteristic,
 )
+from divaut.words import Alphabet
 
 from conftest import (
     AB,
+    as_boolean,
     bi_word,
     finite,
     random_bi_word,
@@ -48,6 +57,7 @@ from conftest import (
     random_div_expr,
     random_finite_word,
     random_fraction,
+    random_gaussian_automaton,
     random_natural_automaton,
     random_rational_automaton,
     random_up_word,
@@ -165,6 +175,63 @@ def test_extract_compile_round_trip_conv():
         for _ in range(4):
             word = random_finite_word(rng, max_len=6)
             assert converging_weight(back, word) == converging_weight(aut, word)
+
+
+def full_elimination(aut):
+    """State elimination that updates every row and column at each step:
+    the reference that the pruned loop of ``extract_conv`` must match."""
+    aut = trim(aut)
+    sr = aut.semiring
+    n = aut.num_states
+    table = [[ZERO] * n for _ in range(n)]
+    for i, j, symbol, w in aut.edges():
+        table[i][j] = make_sum([table[i][j], Atom(symbol, w)])
+    for k in range(n):
+        through = make_star(table[k][k])
+        row_k = [(j, e) for j, e in enumerate(table[k]) if e != ZERO]
+        col_k = [table[i][k] for i in range(n)]
+        for i in range(n):
+            if col_k[i] == ZERO:
+                continue
+            via = make_cat(col_k[i], through)
+            for j, out in row_k:
+                table[i][j] = make_sum([table[i][j], make_cat(via, out)])
+    terms = [make_scale(sr, aut.initial[i], table[i][j], aut.final[j])
+             for i in range(n) if not sr.is_zero(aut.initial[i])
+             for j in range(n) if not sr.is_zero(aut.final[j])]
+    empty_weight = sr.sum(sr.mul(a, b) for a, b in zip(aut.initial, aut.final))
+    if not sr.is_zero(empty_weight):
+        terms.append(make_scale(sr, empty_weight, EPSILON, sr.one))
+    return make_sum(terms)
+
+
+def test_extract_matches_full_elimination():
+    rng = random.Random(1913)
+    makers = [random_natural_automaton, random_rational_automaton, random_gaussian_automaton,
+              lambda rng, **kw: as_boolean(random_natural_automaton(rng, **kw))]
+    for make in makers:
+        for _ in range(20):
+            aut = make(rng, max_states=5, density=0.35)
+            sr = aut.semiring
+            assert format_expr(sr, extract_conv(aut)) == format_expr(sr, full_elimination(aut))
+
+
+def test_extract_is_linear_on_a_chain(monkeypatch):
+    one = Alphabet(("a",))
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return make_cat(a, b)
+
+    monkeypatch.setattr(kleene, "make_cat", counting)
+    for n in (100, 200):
+        calls.clear()
+        chain = Automaton.build(NATURAL, one, n, {0: 1}, {n - 1: 1},
+                                [(i, i + 1, "a", 1) for i in range(n - 1)])
+        expr = extract_conv(chain)
+        assert len(calls) < 2 * n  # the full elimination makes (n - 1)^2
+        assert conv_coeff(NATURAL, expr, finite("a" * (n - 1), one)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from divaut.cli import main
 from divaut.errors import AlphabetMismatch, SemiringMismatch
 from divaut.kleene import compile_conv
 from divaut.semiring import GAUSSIAN, GaussianRational, gaussian
@@ -266,6 +267,31 @@ def test_hs_single_term_state_count():
     # with the rolled 1-state identity loops
     terms = [(gaussian(1), gaussian(Fraction(1, 2)))]
     assert build_hs_hamiltonian(terms).num_states == 12
+
+
+def test_hs_evaluator_steps_only_the_live_path_states():
+    # on the all-up state only the Z bridge of each term stays on a live
+    # path: 4 of its 12 states, each lifted to two integer entries
+    for terms, states in (([(ONE, gaussian(Fraction(1, 2)))], 12),
+                          ([(ONE, gaussian(Fraction(1, 2))), (ONE, gaussian(Fraction(1, 3)))], 24)):
+        numerator = expected_value(up_state(), build_hs_hamiltonian(terms)).numerator
+        assert numerator.automaton.num_states == states
+        assert {len(row) for row in numerator._behavior._starts} == {2 * states // 3}
+
+
+def test_far_probe_reduces_only_the_printed_values(monkeypatch, capsys):
+    calls = []
+    reduce = GAUSSIAN._reduce
+
+    def counting(numerators, scale):
+        calls.append(None)
+        return reduce(numerators, scale)
+
+    monkeypatch.setattr(GAUSSIAN, "_reduce", counting)
+    assert main(["quantum", "hs", "--terms", "3,4/5", "--n", "4", "--rate-at", "300"]) == 0
+    assert capsys.readouterr().out.startswith("0\t")
+    # numerator and norm, at n = 0..4, 299 and 300
+    assert len(calls) == 2 * 7
 
 
 def test_hs_two_terms_add():
