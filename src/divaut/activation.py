@@ -34,15 +34,19 @@ denominator, and an end vector is one integer column per numerator of a
 value: a Q(i) row is its real and imaginary integer rows side by side, and
 a Q(i) end vector two columns, for the real and the imaginary part.  Over
 the Booleans and the naturals the lifted automaton is the automaton itself.
-Zero tests never reduce, and the masked evaluator reduces only the values
-asked for.
+Zero tests never reduce.  The masked evaluator steps rows only until they
+are dependent (or repeat) at the cycle's phase points, then steps the
+recurrence of the value numerators, and reduces only the values asked for.
 """
 from __future__ import annotations
+
+from math import gcd
+from operator import mul
 
 from ._record import Record
 from .automaton import Automaton, _on_paths, _restrict, advance_col, advance_row
 from .errors import UnsupportedExactDecision
-from .semiring import BOOLEAN, WeightSequence, BiWeightGrid
+from .semiring import _INTEGERS, BOOLEAN, NATURAL, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
 
 
@@ -104,6 +108,9 @@ def _walk(aut, word, row, ends, lo: int, hi: int) -> set:
     """
     sr = aut.semiring
     pending = {c: [_sparse(sr, col) for col in cols] for c, cols in enumerate(ends)}
+    pending = {c: cols for c, cols in pending.items() if any(cols)}
+    if not pending or all(map(sr.is_zero, row)):  # a zero row or end is never live
+        return set()
     live = set()
     current = row
     for n in range(hi):
@@ -189,10 +196,11 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     requested sum, so the sums are those of the automaton restricted to
     these d states, whose cycle matrices satisfy recurrences of order at
     most d; with d = 0 every pair is dead and no row is walked.  The walks
-    run on the whole lifted automaton, and an end vector is live iff one of
-    its integer columns is.  A Q(i) state counts once in d although it lifts
-    to two integer entries: the complex sums satisfy a recurrence of order
-    d, and the two integers are only their coordinates.
+    run on the lifted restriction to these d states, with the rows and
+    columns cut to them, and an end vector is live iff one of its integer
+    columns is.  A Q(i) state counts once in d although it lifts to two
+    integer entries: the complex sums satisfy a recurrence of order d, and
+    the two integers are only their coordinates.
     """
     sr = aut.semiring
     bound = policy.horizon if policy.kind == "horizon" else None
@@ -211,12 +219,14 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
             f"no exact activation decision for semiring {sr.name}: it cancels and "
             "is not a field; use --activation horizon:<K>")
     sources, sinks = ({j for vec in vecs for j, _ in _sparse(sr, vec)} for vecs in (rows, cols))
-    d = len(_on_paths(aut.num_states, aut.edges(), sources, sinks))
+    keep = _on_paths(aut.num_states, aut.edges(), sources, sinks)
+    d = len(keep)
     if not d:
         return method, [set() for _ in rows]
-    aut = aut._lifted()[0]  # a zero test is blind to scaling: never reduce
-    rows = sr._clear(rows)[1]
-    ends = list(zip(*sr._clear_ends(cols)[1]))  # per end vector: its integer columns
+    aut = _restrict(aut, keep)._lifted()[0]  # a zero test is blind to scaling: never reduce
+    rows = sr._clear([[row[s] for s in keep] for row in rows])[1]
+    ends = sr._clear_ends([[col[s] for s in keep] for col in cols])[1]
+    ends = list(zip(*ends))  # per end vector: its integer columns
     if isinstance(word, UPInfiniteWord):
         if bound is not None:
             lo, hi = bound // 2 + 1, bound + 1
@@ -279,11 +289,24 @@ class _MaskedBehavior:
     from a live initial state to a live final one: a masked value sums only
     paths between a live pair, and every state of such a path is kept.
     Initial states with the same live finals share one row, started from
-    their weighted sum.  Per window start, the current rows, their position
-    and scale, and the values returned so far are cached: a request steps
-    the rows to its length and reduces that value alone, and a length below
-    the position that is not cached starts the window again.  No full matrix
-    product is ever formed.
+    their weighted sum.  No full matrix product is ever formed.
+
+    Each window start has a :class:`_Window`.  The word read from it is
+    u' v'^w, m = |u'|, p = |v'|, and x_q, the rows of all groups stacked at
+    length m + q p, is x_0 L^q for L the lifted product over one period, so
+    a dependency among x_0 .. x_k holds at every later phase.  Over the
+    integers (the naturals, and the lifted fields) the first one,
+    sum_{j <= k} c_j x_j = 0 with c_k != 0 and k at most N, the number of
+    lifted states, is found by fraction-free (Bareiss) elimination, paced
+    at one basis vector applied per two row steps so that its cost stays of
+    the order of the rows'.  Every numerator t of a value then
+    satisfies c_k t(n) = -sum_{j < k} c_j t(n - (k - j) p), an exact
+    division, for n >= m + k p.  Over the Booleans (and any other semiring)
+    the first repeat x_k = x_j gives t(n) = t(n - (k - j) p).  Then the rows
+    are dropped and the window steps the numerators of its last k p (or
+    (k - j) p) lengths, each kept with its own scale.  Returned values are
+    cached, only the values asked for are reduced, and a length below what
+    is kept starts the window again.
     """
 
     def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
@@ -313,7 +336,7 @@ class _MaskedBehavior:
         self._ends = [[_sparse(ring, col) for col in part]
                       for part in parts]  # per numerator, per group: a sparse column
         self._scale = first * last
-        self._windows = {}  # window start -> [rows, position, scale, values by length]
+        self._windows = {}  # window start -> _Window
 
     @property
     def verdict(self) -> ActivationVerdict:
@@ -322,22 +345,101 @@ class _MaskedBehavior:
     def _value(self, start: int, n: int):
         if n < 0:
             raise IndexError("window length must be a natural number")
-        window = self._windows.setdefault(start, [self._starts, 0, self._scale, {}])
-        values = window[3]
-        if n in values:
-            return values[n]
-        rows, position, scale = window[:3] if n >= window[1] else (self._starts, 0, self._scale)
-        lifted = self._lift
-        for k in range(start + position, start + n):
-            symbol = self.word.char_at(k)
-            rows = [advance_row(lifted, row, symbol) for row in rows]
-            scale *= self._scales[symbol]
-        window[:3] = rows, n, scale
-        sr = lifted.semiring
-        values[n] = value = self.automaton.semiring._reduce(
-            [sr.sum(sr.mul(row[j], w) for row, col in zip(rows, part) for j, w in col)
-             for part in self._ends], scale)
-        return value
+        window = self._windows.get(start)
+        if window is None:
+            window = self._windows[start] = _Window(self, start)
+        return window.at(n)
+
+
+class _Window:
+    """The values of one window start (see :class:`_MaskedBehavior`)."""
+
+    def __init__(self, behavior: _MaskedBehavior, start: int):
+        self._behavior, self._start, self._values = behavior, start, {}
+        word = behavior.word  # from the start on: m letters, then a cycle of p
+        bi = isinstance(word, BiInfiniteWord)
+        self._cut = max(0, (word.origin + len(word.center) if bi else len(word.prefix)) - start)
+        self._period = len(word.right if bi else word.cycle)
+        self._restart()
+
+    def _restart(self):
+        behavior = self._behavior
+        self._rows, self._position, self._scale = behavior._starts, 0, behavior._scale
+        self._kept = []  # (numerators, scale) of the lengths up to the position
+        # reduced stacks by pivot (or stacks seen), stacks waiting, unspent row steps
+        self._search, self._stacks, self._credit = {}, [], 0
+        self._record()
+
+    def at(self, n: int):
+        if n not in self._values:
+            if n <= self._position - len(self._kept):
+                self._restart()
+            while self._position < n:
+                self._step()
+            numerators, scale = self._kept[n - self._position - 1]
+            self._values[n] = self._behavior.automaton.semiring._reduce(numerators, scale)
+        return self._values[n]
+
+    def _step(self):
+        behavior = self._behavior
+        symbol = behavior.word.char_at(self._start + self._position)
+        self._position += 1
+        self._scale *= behavior._scales[symbol]
+        if self._rows is None:
+            self._kept.append((self._recur(self._kept), self._scale))
+            del self._kept[0]
+        else:
+            self._rows = [advance_row(behavior._lift, row, symbol) for row in self._rows]
+            self._credit += len(self._rows)
+            self._record()
+
+    def _record(self):
+        """Keep the current numerators; at a phase point, seek the recurrence."""
+        ring, rows = self._behavior._lift.semiring, self._rows
+        self._kept.append(([ring.sum(ring.mul(row[j], w) for row, col in zip(rows, part)
+                                     for j, w in col) for part in self._behavior._ends],
+                           self._scale))
+        q, phase = divmod(self._position - self._cut, self._period)
+        if q < 0 or phase:
+            return
+        if ring in (NATURAL, _INTEGERS):
+            if q <= self._behavior._lift.num_states:  # x_0 .. x_N are dependent
+                self._stacks.append({j: x for j, x in enumerate(sum(rows, ())) if x})
+            found = self._dependency()
+        else:
+            lag = (q - self._search.setdefault(tuple(rows), q)) * self._period
+            found = lag and (lag, lambda kept: kept[-lag][0])
+        if found:
+            lag, self._recur = found
+            del self._kept[:-max(lag, 1)]
+            self._rows = self._search = None
+
+    def _dependency(self):
+        while self._stacks and self._credit >= 2 * len(self._search):
+            q, vector = len(self._search), self._stacks.pop(0)
+            self._credit -= 2 * q
+            vector[-1 - q] = 1  # key -1 - j holds c_j, for vector = sum_j c_j x_j
+            previous = 1  # Bareiss: each step divides exactly by the pivot before
+            for pivot, base in self._search.items():
+                a, b = vector.get(pivot, 0), base[pivot]
+                vector = {j: v for j in vector.keys() | base.keys()
+                          if (v := (b * vector.get(j, 0) - a * base.get(j, 0)) // previous)}
+                previous = b
+            if (pivot := max(vector)) >= 0:
+                self._search[pivot] = vector
+                continue
+            content = gcd(*vector.values())
+            vector = {j: v // content for j, v in vector.items()}
+            divisor, zeros = vector[-1 - q], [0] * len(self._behavior._ends)
+            lags = [(j - q) * self._period for j in range(q) if -1 - j in vector]
+            coefficients = [-vector[-1 - j] for j in range(q) if -1 - j in vector]
+
+            def recur(kept):  # zeros when x_q = 0, as is every later stack
+                terms = [kept[lag][0] for lag in lags]
+                return [sum(map(mul, coefficients, column)) // divisor
+                        for column in zip(*terms)] or zeros
+            return q * self._period, recur
+        return None
 
 
 class DivergingBehavior(_MaskedBehavior):

@@ -73,13 +73,27 @@ def test_cancellation_gadget_not_activated():
             finite("a" * n)) != 0 for n in range(1, 5))
 
 
+def with_dead_ends(aut):
+    """``aut`` with two more states off every path from a start to an end: an
+    initial state reached from state 0 that reaches no final state, and a
+    final state that reaches state 0 and is never reached."""
+    sr, n = aut.semiring, aut.num_states
+    edges = list(aut.edges()) + [(0, n, "a", sr.one), (n, n, "b", sr.one),
+                                 (n + 1, 0, "b", sr.one)]
+    return Automaton.build(sr, aut.alphabet, n + 2, list(aut.initial) + [sr.one, sr.zero],
+                           list(aut.final) + [sr.zero, sr.one], edges)
+
+
 def test_lrs_window_bound_against_horizon_scan():
     # the decisive-window claim behind the field method, cross-checked by a
-    # long brute-force scan on random instances
+    # long brute-force scan on random instances, half of them with dead
+    # initial and final states that the decision walks leave out
     rng = random.Random(2024)
     checked = 0
-    for _ in range(60):
+    for k in range(60):
         aut = random_rational_automaton(rng, max_states=3)
+        if k % 2:
+            aut = with_dead_ends(aut)
         word = random_up_word(rng)
         n_total = 120
         mats = {symbol: dense(aut, symbol) for symbol in aut.alphabet}
@@ -517,19 +531,23 @@ def grouped_gadget():
          (4, 3, "a", 1), (5, 3, "a", 1)])
 
 
-def walked_value(aut, word, live, start, n):
-    """Sum over the live pairs of initial . dense row walk . final."""
+def walked_table(aut, word, live, start, count):
+    """For the lengths 0 .. count - 1 from ``start``: the sum over the live
+    pairs of initial . dense row walk . final, in the semiring of ``aut``."""
     sr = aut.semiring
     size = aut.num_states
-    total = sr.zero
-    for i, f in live:
+    mats = {symbol: dense(aut, symbol) for symbol in aut.alphabet}
+    totals = [sr.zero] * count
+    for i in dict.fromkeys(i for i, _ in live):  # one walk per live initial state
         row = [sr.one if s == i else sr.zero for s in range(size)]
-        for k in range(n):
-            mat = dense(aut, word.char_at(start + k))
+        for n in range(count):
+            for f in (f for j, f in live if j == i):
+                totals[n] = sr.add(totals[n],
+                                   sr.mul(sr.mul(aut.initial[i], row[f]), aut.final[f]))
+            mat = mats[word.char_at(start + n)]
             row = [sr.sum(sr.mul(row[s], mat[s][t]) for s in range(size))
                    for t in range(size)]
-        total = sr.add(total, sr.mul(sr.mul(aut.initial[i], row[f]), aut.final[f]))
-    return total
+    return totals
 
 
 def masked_at(aut, word):
@@ -574,13 +592,55 @@ def test_masked_evaluator_matches_live_pair_walks():
             assert live == [(0, 1), (2, 3)]
         # the walks sum in Q, where natural and Boolean weights embed
         exact = aut if aut.semiring in (RATIONAL, GAUSSIAN) else as_rational(aut)
-        walked = [walked_value(exact, word, live, i, n) for i, n in queries]
+        walked = {i: walked_table(exact, word, live, i, 13) for i in starts}
+        walked = [walked[i][n] for i, n in queries]
         if aut.semiring is BOOLEAN:
             walked = [value != 0 for value in walked]
         assert table == walked
     # the dead pair is masked out where it alone is non-zero
     assert converging_weight(gadget, finite("b")) == Fraction(35, 2)
     assert DivergingBehavior(gadget, up_word([], "ba")).at(1) == 0
+
+
+def random_boolean_automaton(rng, **shape):
+    return as_boolean(random_natural_automaton(rng, **shape))
+
+
+@pytest.mark.parametrize("make", [random_natural_automaton, random_rational_automaton,
+                                  random_gaussian_automaton, random_boolean_automaton],
+                         ids=["natural", "rational", "gaussian", "boolean"])
+def test_tables_read_from_the_recurrence_match_dense_walks(make):
+    """Each window steps its rows until they are dependent (or, over the
+    Booleans, repeat) at the phase points, and then steps the recurrence of
+    the numerators.  Tables run past m + 3 (k + 1) p, read in order and then
+    shuffled with repeats (restarts), and equal the dense walks in the
+    automaton's own semiring."""
+    rng = random.Random(2110)
+    for k in range(8):
+        aut = make(rng, max_states=4, density=0.6)
+        if k % 2:
+            aut = with_dead_ends(aut)
+        for word in (random_up_word(rng), random_bi_word(rng)):
+            behavior, at = masked_at(aut, word)
+            live = [pair for pair, ok in behavior.verdict.pairs.items() if ok]
+            for start in ((0,) if isinstance(word, UPInfiniteWord) else (-3, 1)):
+                tail = slice_word(word, start, None)
+                m, p = len(tail.prefix), len(tail.cycle)
+                table = [at(start, 0)]
+                while behavior._windows[start]._rows is not None:  # stepping rows
+                    table.append(at(start, len(table)))
+                switch = len(table) - 1  # a phase point, m + k p or later
+                assert switch >= m and (switch - m) % p == 0
+                count = switch + 2 * (switch - m) + 3 * p + 1
+                table += [at(start, n) for n in range(len(table), count)]
+                assert table == walked_table(aut, word, live, start, count)
+                shuffled = rng.sample(range(count), min(count, 30)) * 2
+                rng.shuffle(shuffled)
+                _, again = masked_at(aut, word)
+                assert [again(start, n) for n in shuffled] == [table[n] for n in shuffled]
+            if isinstance(word, BiInfiniteWord):  # a start far left costs no more
+                far = -10 ** 9
+                assert [at(far, n) for n in range(4)] == walked_table(aut, word, live, far, 4)
 
 
 def test_out_of_order_queries_match_ascending_table(figure_two):

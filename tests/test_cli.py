@@ -1,7 +1,11 @@
+import contextlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divaut.automaton import Automaton, AutomatonClass, classify, converging_weight
 from divaut.activation import BidivergingBehavior, DivergingBehavior
@@ -794,3 +798,53 @@ def test_error_path_is_one_error_line(tmp_path, capsys, case):
     assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
     if case != "ratio-undefined":  # the table comes first, then the probe fails
         assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# mutated fixture files: every run ends in an exit code, never a traceback
+
+MUTATION_TOKENS = ["{", "}", "[", "]", "(", ")", ",", ":", "#", "\n", " ", "-", "/", "0",
+                   "1", "7/3", "-1/2i", "T", "F", "a", "b", "q1", "weight", "symbol",
+                   "from", "to", "states", "expr", "sum", "omega", "star", "natural",
+                   "boolean", "gaussian"]
+MUTATION_COMMANDS = [
+    lambda f, tmp: ["eval", f, "--word", "( a b )^w", "--n-max", "6"],
+    lambda f, tmp: ["eval", f, "--word", "b . ( a )^w", "--n-max", "6"],
+    lambda f, tmp: ["eval", f, "--word", "( a )^~w . b . ( a b )^w", "--i", "-2",
+                    "--n-max", "5"],
+    lambda f, tmp: ["eval", f, "--word", "a b a"],
+    lambda f, tmp: ["decompose", f, "--level", "div", "--out-dir", tmp],
+    lambda f, tmp: ["to-rational", f, "--level", "div", "--out", str(Path(tmp) / "e.expr")],
+    lambda f, tmp: ["from-rational", f, "--out", str(Path(tmp) / "c.aut")],
+    lambda f, tmp: ["equiv", f, DOUBLING, "--level", "div", "--samples", "2", "--n-max", "4"],
+]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """(file name, text): a fixture with one to three spans deleted,
+    duplicated or replaced by a token of the file syntax."""
+    path = draw(st.sampled_from(sorted(FIXTURES.iterdir())))
+    text = path.read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(0, len(text)))
+        hi = draw(st.integers(lo, min(len(text), lo + 8)))
+        kind = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        middle = {"delete": "", "duplicate": text[lo:hi] * 2,
+                  "replace": draw(st.sampled_from(MUTATION_TOKENS))}[kind]
+        text = text[:lo] + middle + text[hi:]
+    return path.name, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_fixtures(), st.sampled_from(MUTATION_COMMANDS))
+def test_mutated_fixtures_exit_with_a_code_and_at_most_one_error_line(fixture, command):
+    name, text = fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command(str(path), tmp))
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
