@@ -99,18 +99,15 @@ def _sparse(sr, vec):
 
 
 def _walk(aut, word, row, ends, lo: int, hi: int) -> set:
-    """Indices c such that row . M(w[0..n]) . col is non-zero for a column
-    col of ends[c] and some n in [lo, hi): one advance_row walk, reading
-    every column at each position until each end is live.
+    """Keys c of ``ends`` such that row . M(w[0..n]) . col is non-zero for a
+    sparse column col of ends[c] and some n in [lo, hi): one advance_row
+    walk, reading every column at each position until each end is live.
 
     The window [|u| + d|v|, |u| + 2d|v|) is exact: it is the recurrence
     indices [d, 2d) of every residue of the cycle length.
     """
     sr = aut.semiring
-    pending = {c: [_sparse(sr, col) for col in cols] for c, cols in enumerate(ends)}
-    pending = {c: cols for c, cols in pending.items() if any(cols)}
-    if not pending or all(map(sr.is_zero, row)):  # a zero row or end is never live
-        return set()
+    pending = dict(ends)
     live = set()
     current = row
     for n in range(hi):
@@ -147,9 +144,10 @@ def _extent_vectors(aut, step, vec, cycle, extents):
                 yield current
 
 
-def _extent_walks(aut, word, rows, ends, left_extents, right_extents) -> list:
+def _extent_walks(aut, word, rows, ends, left_extents, right_extents) -> dict:
     """Two-sided decision over the windows reaching e symbols left and g
-    symbols right of the center, for e and g in the given extents.
+    symbols right of the center, for e and g in the given extents: for each
+    key r of ``rows``, the keys c of ``ends`` that it activates.
 
     Such a window sums to head . tail, with head = row . M(w[-e..0)) . M(m)
     and tail = M(w[|m|..|m| + g)) . col for a column col of an end; heads
@@ -157,16 +155,16 @@ def _extent_walks(aut, word, rows, ends, left_extents, right_extents) -> list:
     reversed right cycle.
     """
     sr = aut.semiring
-    tails = [[_sparse(sr, t) for col in cols
-              for t in _extent_vectors(aut, advance_col, col, word.right[::-1], right_extents)]
-             for cols in ends]
-    live = []
-    for row in rows:
+    tails = {c: [_sparse(sr, t) for col in cols
+                 for t in _extent_vectors(aut, advance_col, col, word.right[::-1], right_extents)]
+             for c, cols in ends.items()}
+    live = {}
+    for r, row in rows.items():
         heads = [_steps(aut, advance_row, h, word.center)
                  for h in _extent_vectors(aut, advance_row, row, word.left, left_extents)]
-        live.append({c for c, tail in enumerate(tails)
-                     if any(not sr.is_zero(sr.sum(sr.mul(h[j], w) for j, w in t))
-                            for h in heads for t in tail)})
+        live[r] = {c for c, tail in tails.items()
+                   if any(not sr.is_zero(sr.sum(sr.mul(h[j], w) for j, w in t))
+                          for h in heads for t in tail)}
     return live
 
 
@@ -185,19 +183,33 @@ def _rotations(word: BiInfiniteWord) -> list:
 # ---------------------------------------------------------------------------
 # decisions
 
+def _lift_between(aut, rows, cols) -> tuple:
+    """(d, lifted, scales, scale, rows, ends): ``aut`` restricted to the d
+    states on some path from the support of a row to that of a column, and
+    lifted with its symbol scales; the rows cut to those states and cleared,
+    and the columns as the parts of ``Semiring._clear_ends``, cleared with
+    them by the factor ``scale``.  A state off every such path carries no
+    term of a row's sum with a column, so the sums are those of the
+    restriction."""
+    sr = aut.semiring
+    sources, sinks = ({j for vec in vecs for j, _ in _sparse(sr, vec)} for vecs in (rows, cols))
+    keep = _on_paths(aut.num_states, aut.edges(), sources, sinks)
+    lifted, scales = _restrict(aut, keep)._lifted()[:2]
+    first, rows = sr._clear([[row[s] for s in keep] for row in rows])
+    last, ends = sr._clear_ends([[col[s] for s in keep] for col in cols])
+    return len(keep), lifted, scales, first * last, rows, ends
+
+
 def _decide(aut, word, policy, rows, cols) -> tuple:
     """(method, live): ``live[r]`` is the set of indices c such that the
     pair (rows[r], cols[c]) is activated by ``word``.  The method is
     resolved once for the semiring and the policy; it refuses only when
     some pair must be decided.
 
-    d is the number of states on some path from the support of a row to the
-    support of a column.  A state off every such path carries no term of any
-    requested sum, so the sums are those of the automaton restricted to
-    these d states, whose cycle matrices satisfy recurrences of order at
-    most d; with d = 0 every pair is dead and no row is walked.  The walks
-    run on the lifted restriction to these d states, with the rows and
-    columns cut to them, and an end vector is live iff one of its integer
+    The walks run on the lifted restriction of :func:`_lift_between` to d
+    states, whose cycle matrices satisfy recurrences of order at most d.  A
+    row or end vector that is zero there is dead and never walked (with
+    d = 0, every one), and an end vector is live iff one of its integer
     columns is.  A Q(i) state counts once in d although it lifts to two
     integer entries: the complex sums satisfy a recurrence of order d, and
     the two integers are only their coordinates.
@@ -218,32 +230,28 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
         raise UnsupportedExactDecision(
             f"no exact activation decision for semiring {sr.name}: it cancels and "
             "is not a field; use --activation horizon:<K>")
-    sources, sinks = ({j for vec in vecs for j, _ in _sparse(sr, vec)} for vecs in (rows, cols))
-    keep = _on_paths(aut.num_states, aut.edges(), sources, sinks)
-    d = len(keep)
-    if not d:
-        return method, [set() for _ in rows]
-    aut = _restrict(aut, keep)._lifted()[0]  # a zero test is blind to scaling: never reduce
-    rows = sr._clear([[row[s] for s in keep] for row in rows])[1]
-    ends = sr._clear_ends([[col[s] for s in keep] for col in cols])[1]
-    ends = list(zip(*ends))  # per end vector: its integer columns
+    d, aut, _, _, cleared, parts = _lift_between(aut, rows, cols)  # zero tests ignore scales
+    ring = aut.semiring
+    walked = {r: row for r, row in enumerate(cleared) if not all(map(ring.is_zero, row))}
+    columns = list(zip(*parts))  # per end vector: its integer columns
+    ends = {c: [_sparse(ring, col) for col in cols] for c, cols in enumerate(columns)}
+    ends = {c: cols for c, cols in ends.items() if any(cols)}
     if isinstance(word, UPInfiniteWord):
         if bound is not None:
             lo, hi = bound // 2 + 1, bound + 1
         else:
             lo = len(word.prefix) + d * len(word.cycle)
             hi = lo + d * len(word.cycle)
-        return method, [_walk(aut, word, row, ends, lo, hi) for row in rows]
-    if bound is not None:
-        left = right = range(max(1, bound // 2), bound + 1)
-    elif rays := _rotations(word):
+        live = {r: _walk(aut, word, row, ends, lo, hi) for r, row in walked.items()}
+    elif bound is None and (rays := _rotations(word)):
         lo = d * len(rays)  # the window [d p, 2 d p) of each rotation
-        return method, [set().union(*(_walk(aut, ray, row, ends, lo, 2 * lo) for ray in rays))
-                        for row in rows]
+        live = {r: set().union(*(_walk(aut, ray, row, ends, lo, 2 * lo) for ray in rays))
+                for r, row in walked.items()}
     else:
-        left = range(d * len(word.left), 2 * d * len(word.left))
-        right = range(d * len(word.right), 2 * d * len(word.right))
-    return method, _extent_walks(aut, word, rows, ends, left, right)
+        extents = ([range(max(1, bound // 2), bound + 1)] * 2 if bound is not None else
+                   [range(d * len(side), 2 * d * len(side)) for side in (word.left, word.right)])
+        live = _extent_walks(aut, word, walked, {c: columns[c] for c in ends}, *extents)
+    return method, [live.get(r, set()) for r in range(len(rows))]
 
 
 def _unit_row(aut, state):
@@ -285,9 +293,10 @@ class _MaskedBehavior:
     """Masked evaluation shared by the one- and two-sided contexts.
 
     Activation verdicts are decided once and reused for every window.  The
-    values are those of the automaton restricted to the states on some path
-    from a live initial state to a live final one: a masked value sums only
-    paths between a live pair, and every state of such a path is kept.
+    values are those of the automaton restricted by :func:`_lift_between`
+    to the states on some path from a live initial state to a live final
+    one: a masked value sums only paths between a live pair, and every
+    state of such a path is kept.
     Initial states with the same live finals share one row, started from
     their weighted sum.  No full matrix product is ever formed.
 
@@ -322,20 +331,13 @@ class _MaskedBehavior:
         groups = {}  # live finals -> the initial states that reach exactly them
         for i, ends in live_finals.items():
             groups.setdefault(tuple(ends), []).append(i)
-        keep = _on_paths(aut.num_states, aut.edges(), live_finals,
-                         {f for ends in groups for f in ends})
-        self._lift, self._scales = _restrict(aut, keep)._lifted()[:2]
-
-        def masked(vector, states):
-            return [vector[s] if s in states else sr.zero for s in keep]
-
-        first, self._starts = sr._clear([masked(aut.initial, starts)
-                                         for starts in groups.values()])
-        last, parts = sr._clear_ends([masked(aut.final, ends) for ends in groups])
+        _, self._lift, self._scales, self._scale, self._starts, parts = _lift_between(
+            aut, [[w if s in starts else sr.zero for s, w in enumerate(aut.initial)]
+                  for starts in groups.values()],
+            [[w if s in ends else sr.zero for s, w in enumerate(aut.final)] for ends in groups])
         ring = self._lift.semiring
         self._ends = [[_sparse(ring, col) for col in part]
                       for part in parts]  # per numerator, per group: a sparse column
-        self._scale = first * last
         self._windows = {}  # window start -> _Window
 
     @property

@@ -130,11 +130,12 @@ def cmd_eval(args):
         word = parse_word(args.word, obj.alphabet)
         if not isinstance(word, _WORD_KINDS[level]):
             raise DivautError(_WORD_NEEDED[level])
-    sr, _, value = _evaluator(obj, level, policy, chi)
+    sr, _, context = _evaluator(obj, level, policy, chi)
+    value = context(word)
     if level == "conv":
-        print(sr.format(value(word, 0, 0)))
+        print(sr.format(value(0, 0)))
         return
-    _print_rows((str(n), sr.format(value(word, args.i, n)))
+    _print_rows((str(n), sr.format(value(args.i, n)))
                 for n in range(args.n_max + 1))
 
 
@@ -237,36 +238,32 @@ def _sample_words(alphabet: Alphabet, level: str, count: int, seed: int):
 
 
 def _evaluator(obj, level, policy, chi):
-    """Returns (semiring, alphabet, f) where f(word, i, n) yields one value;
-    one-sided levels ignore the window start i."""
+    """Returns (semiring, alphabet, context): context(word) evaluates one
+    word, as a function value(i, n); one-sided levels ignore the window
+    start i, and the converging level the length n too."""
     if isinstance(obj, Automaton):
         sr, alphabet = obj.semiring, obj.alphabet
         if level == "conv":
-            return sr, alphabet, lambda word, i, n: converging_weight(obj, word)
+            return sr, alphabet, lambda word: lambda i, n: converging_weight(obj, word)
         behavior = DivergingBehavior if level == "div" else BidivergingBehavior
 
-        def context(word):
+        def build(word):
             return behavior(obj, word, policy)
     else:
         sr, alphabet, expr = obj.semiring, obj.alphabet, obj.expr
         if expr_level(expr) != level:
             raise DivautError(f"expression is {expr_level(expr)}-level, not {level}")
         if level == "conv":
-            return sr, alphabet, lambda word, i, n: conv_coeff(sr, expr, word)
+            return sr, alphabet, lambda word: lambda i, n: conv_coeff(sr, expr, word)
         series = DivSeries if level == "div" else BidivSeries
 
-        def context(word):
+        def build(word):
             return series(sr, expr, word, chi)
-    contexts = {}
 
-    def f(word, i, n):
-        evaluation = contexts.get(word)
-        if evaluation is None:
-            evaluation = contexts[word] = context(word)
-        if level == "div":
-            return evaluation.at(n)
-        return evaluation.at(i, n)
-    return sr, alphabet, f
+    def context(word):
+        at = build(word).at
+        return at if level == "bidiv" else lambda i, n: at(n)
+    return sr, alphabet, context
 
 
 def cmd_equiv(args):
@@ -278,8 +275,8 @@ def cmd_equiv(args):
     policy = _policy(args.activation)
     chi = _policy(args.chi)
     level = args.level
-    sr_a, alpha_a, eval_a = _evaluator(first, level, policy, chi)
-    sr_b, alpha_b, eval_b = _evaluator(second, level, policy, chi)
+    sr_a, alpha_a, context_a = _evaluator(first, level, policy, chi)
+    sr_b, alpha_b, context_b = _evaluator(second, level, policy, chi)
     require_same_semiring(sr_a, sr_b)
     require_same_alphabet(alpha_a, alpha_b)
 
@@ -296,10 +293,10 @@ def cmd_equiv(args):
     starts = range(-args.i_range, args.i_range + 1) if level == "bidiv" else (0,)
     lengths = range(args.n_max + 1) if level != "conv" else (0,)
     for word in words:
+        value_a, value_b = context_a(word), context_b(word)
         for i in starts:
             for n in lengths:
-                got_a = eval_a(word, i, n)
-                got_b = eval_b(word, i, n)
+                got_a, got_b = value_a(i, n), value_b(i, n)
                 if not sr_a.eq(got_a, got_b):
                     where = f"word={format_word(word)!r}"
                     if level == "bidiv":

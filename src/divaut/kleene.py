@@ -208,7 +208,7 @@ def _extract_parts(aut, decompose, iteration, disjoin, conjoin) -> Expr:
         else:
             body = conjoin(*(extract_conv(piece) for piece in disjoin(part)))
         terms.append(make_scale(sr, left, body, right))
-    return make_sum(terms)
+    return make_sum(terms) if terms else iteration(ZERO)  # a zero series keeps its level
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,31 @@ def test_from_rational_level_mismatch(tmp_path, capsys):
     assert (code, err) == (1, "error: expression is bidiv-level, not div\n")
 
 
+@pytest.mark.parametrize("level, iteration, word", [
+    ("div", "omega", "a . ( b )^w"),
+    ("bidiv", "zeta", "( a )^~w . b . ( a )^w"),
+])
+def test_zero_series_round_trip_keeps_its_level(tmp_path, capsys, level, iteration, word):
+    """An automaton with no (initial, final) pair has the zero series; it is
+    written as the zero operand's iteration, so it reads back at its level."""
+    source = tmp_path / "zero.aut"
+    source.write_text("semiring: rational\nalphabet: [a, b]\nstates: [p, q]\n"
+                      "initial: {p: 1}\nfinal: {}\n"
+                      "transitions: [\n  {from: p, to: q, symbol: a, weight: 1},\n]\n")
+    extracted, compiled = tmp_path / "zero.expr", tmp_path / "back.aut"
+    assert run(capsys, "to-rational", str(source), "--level", level,
+               "--out", str(extracted)) == (0, "", "")
+    assert extracted.read_text().endswith(f"expr: {iteration}(sum())\n")
+    assert run(capsys, "from-rational", str(extracted), "--level", level,
+               "--out", str(compiled)) == (0, "", "")
+    for path in (extracted, compiled):
+        assert run(capsys, "eval", str(path), "--word", word, "--n-max", "2") == \
+            (0, "0\t0\n1\t0\n2\t0\n", "")
+    assert run(capsys, "equiv", str(source), str(extracted), "--level", level,
+               "--samples", "4") == \
+        (0, "agree on all samples (4 words; semi-decision only)\n", "")
+
+
 # ---------------------------------------------------------------------------
 # equiv
 

@@ -339,6 +339,25 @@ def test_the_window_counts_only_states_on_a_start_to_end_path(row_counter, sr):
     assert row_counter == []
 
 
+def test_a_start_off_every_path_steps_no_head(row_counter):
+    """On a two-sided word that is not periodic, the heads of each start row
+    are stepped along the left cycle.  An initial state with no edges lies
+    on no path to an end, so its row is zero on the states walked: it is
+    dead without a walk, and adding it steps no extra row."""
+    core = [(0, 0, "a", Fraction(1, 2)), (0, 0, "b", Fraction(2)),
+            (0, 1, "b", Fraction(-1)), (1, 1, "a", Fraction(3))]
+    word = bi_word("ab", "b", "a")
+    assert activation._rotations(word) == []
+    live = Automaton.build(RATIONAL, AB, 2, {0: 1}, {1: 1}, core)
+    assert activation_verdicts(live, word).pairs == {(0, 1): True}
+    steps = len(row_counter)
+    assert steps > 0
+    row_counter.clear()
+    padded = Automaton.build(RATIONAL, AB, 3, {0: 1, 2: 1}, {1: 1}, core)
+    assert activation_verdicts(padded, word).pairs == {(0, 1): True, (2, 1): False}
+    assert len(row_counter) == steps
+
+
 # state 0 is initial, its loops on a and b weigh 1 and its final weight is i:
 # every window sums to i, whose real part is 0
 IMAGINARY = Automaton.build(GAUSSIAN, AB, 2, {0: 1}, {0: gaussian(0, 1), 1: gaussian(0, -2)},
