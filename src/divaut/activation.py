@@ -37,9 +37,15 @@ the Booleans and the naturals the lifted automaton is the automaton itself.
 Zero tests never reduce.  The masked evaluator steps rows only until they
 are dependent (or repeat) at the cycle's phase points, then steps the
 recurrence of the value numerators, and reduces only the values asked for.
+Its text read steps the recurrence of a natural table in decimal integers,
+which are written in time linear in their digits.  They hold the same
+values: the recurrence holds over the integers, so its one division is
+exact, and every conversion and step runs in :data:`_EXACT`, which holds
+any number of digits and traps any rounding.
 """
 from __future__ import annotations
 
+import decimal
 from math import gcd
 from operator import mul
 
@@ -48,6 +54,12 @@ from .automaton import Automaton, _on_paths, _restrict, advance_col, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import _INTEGERS, BOOLEAN, NATURAL, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
+
+# exact integer arithmetic on decimal digits: the operators of Decimal read
+# the thread's context (28 digits by default), so only these methods are used
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+                                decimal.DivisionByZero, decimal.Overflow])
 
 
 class ActivationPolicy(Record):
@@ -188,23 +200,24 @@ def _lift_between(aut, rows, cols) -> tuple:
     states on some path from the support of a row to that of a column, and
     lifted with its symbol scales; the rows cut to those states and cleared,
     and the columns as the parts of ``Semiring._clear_ends``, cleared with
-    them by the factor ``scale``.  A state off every such path carries no
-    term of a row's sum with a column, so the sums are those of the
-    restriction."""
+    them by the factor ``scale``.  Rows and columns come sparse, as dicts
+    from a state to its non-zero weight.  A state off every such path
+    carries no term of a row's sum with a column, so the sums are those of
+    the restriction."""
     sr = aut.semiring
-    sources, sinks = ({j for vec in vecs for j, _ in _sparse(sr, vec)} for vecs in (rows, cols))
-    keep = _on_paths(aut.num_states, aut.edges(), sources, sinks)
+    keep = _on_paths(aut.num_states, aut.edges(), set().union(*rows), set().union(*cols))
     lifted, scales = _restrict(aut, keep)._lifted()[:2]
-    first, rows = sr._clear([[row[s] for s in keep] for row in rows])
-    last, ends = sr._clear_ends([[col[s] for s in keep] for col in cols])
+    first, rows = sr._clear([[row.get(s, sr.zero) for s in keep] for row in rows])
+    last, ends = sr._clear_ends([[col.get(s, sr.zero) for s in keep] for col in cols])
     return len(keep), lifted, scales, first * last, rows, ends
 
 
 def _decide(aut, word, policy, rows, cols) -> tuple:
     """(method, live): ``live[r]`` is the set of indices c such that the
-    pair (rows[r], cols[c]) is activated by ``word``.  The method is
-    resolved once for the semiring and the policy; it refuses only when
-    some pair must be decided.
+    pair (rows[r], cols[c]) is activated by ``word``; rows and end vectors
+    are sparse, as for :func:`_lift_between`.  The method is resolved once
+    for the semiring and the policy; it refuses only when some pair must be
+    decided.
 
     The walks run on the lifted restriction of :func:`_lift_between` to d
     states, whose cycle matrices satisfy recurrences of order at most d.  A
@@ -254,11 +267,6 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     return method, [live.get(r, set()) for r in range(len(rows))]
 
 
-def _unit_row(aut, state):
-    sr = aut.semiring
-    return tuple(sr.one if s == state else sr.zero for s in range(aut.num_states))
-
-
 def activation_verdicts(aut: Automaton, word, policy: ActivationPolicy = AUTO,
                         pairs=None) -> ActivationVerdict:
     """Decide every requested (initial, final) pair; defaults to the pairs
@@ -270,8 +278,9 @@ def activation_verdicts(aut: Automaton, word, policy: ActivationPolicy = AUTO,
     pairs = list(pairs)
     starts = list(dict.fromkeys(i for i, _ in pairs))
     ends = list(dict.fromkeys(f for _, f in pairs))
-    method, live = _decide(aut, word, policy, [_unit_row(aut, i) for i in starts],
-                           [_unit_row(aut, f) for f in ends])
+    one = aut.semiring.one
+    method, live = _decide(aut, word, policy, [{i: one} for i in starts],
+                           [{f: one} for f in ends])
     found = {(starts[r], ends[c]) for r, cols in enumerate(live) for c in cols}
     return ActivationVerdict({pair: pair in found for pair in pairs}, method)
 
@@ -316,6 +325,17 @@ class _MaskedBehavior:
     (k - j) p) lengths, each kept with its own scale.  Returned values are
     cached, only the values asked for are reduced, and a length below what
     is kept starts the window again.
+
+    The text read :meth:`_text` has windows of its own.  Over the naturals
+    a text window turns its kept numerators into decimal integers when it
+    switches to the recurrence, and steps the recurrence there: ``str`` of
+    a Python int is quadratic in its digits, of a decimal linear.  The
+    values stay the same integers.  The switch converts each kept integer
+    exactly, and each step is integer multiply-adds and one division that
+    is exact, since the recurrence holds over the integers; all of it runs
+    in :data:`_EXACT`, which holds any number of digits and traps any
+    rounding.  Every other text is the formatted value.  Texts are not
+    cached: a table reads each once.
     """
 
     def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
@@ -323,7 +343,6 @@ class _MaskedBehavior:
         self.word = word
         self.policy = policy
         self._verdict = activation_verdicts(aut, word, policy)
-        sr = aut.semiring
         live_finals = {}
         for (i, f), live in self._verdict.pairs.items():
             if live:
@@ -332,32 +351,39 @@ class _MaskedBehavior:
         for i, ends in live_finals.items():
             groups.setdefault(tuple(ends), []).append(i)
         _, self._lift, self._scales, self._scale, self._starts, parts = _lift_between(
-            aut, [[w if s in starts else sr.zero for s, w in enumerate(aut.initial)]
-                  for starts in groups.values()],
-            [[w if s in ends else sr.zero for s, w in enumerate(aut.final)] for ends in groups])
+            aut, [{s: aut.initial[s] for s in starts} for starts in groups.values()],
+            [{s: aut.final[s] for s in ends} for ends in groups])
         ring = self._lift.semiring
         self._ends = [[_sparse(ring, col) for col in part]
                       for part in parts]  # per numerator, per group: a sparse column
-        self._windows = {}  # window start -> _Window
+        self._windows, self._texts = {}, {}  # window start -> _Window
 
     @property
     def verdict(self) -> ActivationVerdict:
         return self._verdict
 
-    def _value(self, start: int, n: int):
+    def _value(self, start: int, n: int, text: bool = False):
         if n < 0:
             raise IndexError("window length must be a natural number")
-        window = self._windows.get(start)
+        windows = self._texts if text else self._windows
+        window = windows.get(start)
         if window is None:
-            window = self._windows[start] = _Window(self, start)
+            window = windows[start] = _Window(self, start, text)
         return window.at(n)
+
+    def _text(self, start: int, n: int) -> str:
+        """The value at (start, n), formatted."""
+        return self._value(start, n, True)
 
 
 class _Window:
-    """The values of one window start (see :class:`_MaskedBehavior`)."""
+    """The values of one window start, or for the text read their text (see
+    :class:`_MaskedBehavior`)."""
 
-    def __init__(self, behavior: _MaskedBehavior, start: int):
+    def __init__(self, behavior: _MaskedBehavior, start: int, text: bool):
         self._behavior, self._start, self._values = behavior, start, {}
+        self._text = text
+        self._decimal = text and behavior._lift.semiring is NATURAL
         word = behavior.word  # from the start on: m letters, then a cycle of p
         bi = isinstance(word, BiInfiniteWord)
         self._cut = max(0, (word.origin + len(word.center) if bi else len(word.prefix)) - start)
@@ -373,14 +399,21 @@ class _Window:
         self._record()
 
     def at(self, n: int):
-        if n not in self._values:
-            if n <= self._position - len(self._kept):
-                self._restart()
-            while self._position < n:
-                self._step()
-            numerators, scale = self._kept[n - self._position - 1]
-            self._values[n] = self._behavior.automaton.semiring._reduce(numerators, scale)
-        return self._values[n]
+        if n in self._values:
+            return self._values[n]
+        if n <= self._position - len(self._kept):
+            self._restart()
+        while self._position < n:
+            self._step()
+        numerators, scale = self._kept[n - self._position - 1]
+        sr = self._behavior.automaton.semiring
+        value = sr._reduce(numerators, scale)
+        if self._decimal:  # str is NATURAL.format
+            return str(value)
+        if self._text:
+            return sr.format(value)
+        self._values[n] = value
+        return value
 
     def _step(self):
         behavior = self._behavior
@@ -414,6 +447,9 @@ class _Window:
         if found:
             lag, self._recur = found
             del self._kept[:-max(lag, 1)]
+            if self._decimal:
+                self._kept = [([_EXACT.create_decimal(t) for t in numerators], scale)
+                              for numerators, scale in self._kept]
             self._rows = self._search = None
 
     def _dependency(self):
@@ -432,9 +468,12 @@ class _Window:
                 continue
             content = gcd(*vector.values())
             vector = {j: v // content for j, v in vector.items()}
-            divisor, zeros = vector[-1 - q], [0] * len(self._behavior._ends)
+            divisor = vector[-1 - q]
             lags = [(j - q) * self._period for j in range(q) if -1 - j in vector]
             coefficients = [-vector[-1 - j] for j in range(q) if -1 - j in vector]
+            if self._decimal:
+                return q * self._period, _decimal_recurrence(lags, coefficients, divisor)
+            zeros = [0] * len(self._behavior._ends)
 
             def recur(kept):  # zeros when x_q = 0, as is every later stack
                 terms = [kept[lag][0] for lag in lags]
@@ -442,6 +481,23 @@ class _Window:
                         for column in zip(*terms)] or zeros
             return q * self._period, recur
         return None
+
+
+def _decimal_recurrence(lags, coefficients, divisor):
+    """The recurrence of :meth:`_Window._dependency` on the one numerator of
+    a natural value, held as a decimal integer.  The divisor's sign moves
+    into the coefficients, so that a zero value is +0 and is written 0: a
+    sum started at +0 is never -0, and +0 over a positive divisor is +0."""
+    sign, unit = (1 if divisor > 0 else -1), abs(divisor) == 1
+    coefficients = [_EXACT.create_decimal(c * sign) for c in coefficients]
+    divisor, zero = _EXACT.create_decimal(divisor * sign), _EXACT.create_decimal(0)
+
+    def recur(kept):  # zero when x_q = 0, as is every later stack
+        total = zero
+        for c, lag in zip(coefficients, lags):
+            total = _EXACT.fma(c, kept[lag][0][0], total)
+        return [total if unit else _EXACT.divide(total, divisor)]
+    return recur
 
 
 class DivergingBehavior(_MaskedBehavior):

@@ -17,6 +17,7 @@ from .activation import (
     ActivationPolicy,
     BidivergingBehavior,
     DivergingBehavior,
+    _MaskedBehavior,
 )
 from .automaton import (
     Automaton,
@@ -101,11 +102,25 @@ def _policy(text: str) -> ActivationPolicy:
         raise DivautError(str(exc)) from None
 
 
+_BLOCK = 1 << 16  # characters; rows are ASCII
+
+
 def _print_rows(rows):
-    """One write per row, which unbuffered stdout makes one system call."""
+    """Writes the first row on its own, so that it leaves as soon as it is
+    known, and the others in blocks of whole rows: a block is written once
+    it holds at least ``_BLOCK`` characters, so it has at most that many
+    plus one row.  Unbuffered stdout makes each write one system call."""
     write = sys.stdout.write
+    block, size = [], _BLOCK  # full, so that the first row leaves alone
     for row in rows:
-        write("\t".join(row) + "\n")
+        line = "\t".join(row) + "\n"
+        block.append(line)
+        size += len(line)
+        if size >= _BLOCK:
+            write("".join(block))
+            block, size = [], 0
+    if block:
+        write("".join(block))
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +146,11 @@ def cmd_eval(args):
         if not isinstance(word, _WORD_KINDS[level]):
             raise DivautError(_WORD_NEEDED[level])
     sr, _, context = _evaluator(obj, level, policy, chi)
-    value = context(word)
     if level == "conv":
-        print(sr.format(value(0, 0)))
+        print(sr.format(context(word)(0, 0)))
         return
-    _print_rows((str(n), sr.format(value(args.i, n)))
-                for n in range(args.n_max + 1))
+    text = context(word, text=True)
+    _print_rows((str(n), text(args.i, n)) for n in range(args.n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +254,9 @@ def _sample_words(alphabet: Alphabet, level: str, count: int, seed: int):
 def _evaluator(obj, level, policy, chi):
     """Returns (semiring, alphabet, context): context(word) evaluates one
     word, as a function value(i, n); one-sided levels ignore the window
-    start i, and the converging level the length n too."""
+    start i, and the converging level the length n too.  Below the
+    converging level, context(word, text=True) gives the values' text, read
+    from a masked behavior's own text windows."""
     if isinstance(obj, Automaton):
         sr, alphabet = obj.semiring, obj.alphabet
         if level == "conv":
@@ -260,9 +276,12 @@ def _evaluator(obj, level, policy, chi):
         def build(word):
             return series(sr, expr, word, chi)
 
-    def context(word):
-        at = build(word).at
-        return at if level == "bidiv" else lambda i, n: at(n)
+    def context(word, text=False):
+        built = build(word)
+        if text and isinstance(built, _MaskedBehavior):
+            return built._text if level == "bidiv" else lambda i, n: built._text(0, n)
+        at = built.at if level == "bidiv" else lambda i, n: built.at(n)
+        return (lambda i, n: sr.format(at(i, n))) if text else at
     return sr, alphabet, context
 
 

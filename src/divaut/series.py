@@ -360,7 +360,9 @@ class _OracleSeries:
         from .kleene import compile_conv
 
         aut = compile_conv(sr, self.word.alphabet, tester)
-        return bool(_decide(aut, self.word, policy, [aut.initial], [aut.final])[1][0])
+        initial = {s: aut.initial[s] for s in aut.initial_states()}
+        final = {s: aut.final[s] for s in aut.final_states()}
+        return bool(_decide(aut, self.word, policy, [initial], [final])[1][0])
 
 
 class DivSeries(_OracleSeries):

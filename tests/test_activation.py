@@ -1,9 +1,11 @@
 import random
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divaut import activation
 from divaut.activation import (
     AUTO,
     EXACT,
@@ -641,6 +643,63 @@ def test_tables_read_from_the_recurrence_match_dense_walks(make):
             if isinstance(word, BiInfiniteWord):  # a start far left costs no more
                 far = -10 ** 9
                 assert [at(far, n) for n in range(4)] == walked_table(aut, word, live, far, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([random_natural_automaton, random_rational_automaton,
+                        random_gaussian_automaton, random_boolean_automaton]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_text_read_is_the_formatted_value(make, seed, padded, two_sided):
+    """The text read has windows of its own, which over the naturals step
+    the recurrence in decimal integers once found.  Read past the switch, in
+    order and then shuffled with repeats (restarts), it is the formatted
+    value."""
+    rng = random.Random(seed)
+    aut = make(rng, max_states=4, density=0.6)
+    if padded:
+        aut = with_dead_ends(aut)
+    word = random_bi_word(rng) if two_sided else random_up_word(rng)
+    sr = aut.semiring
+    for start in ((-3, 1) if two_sided else (0,)):
+        behavior, at = masked_at(aut, word)
+        tail = slice_word(word, start, None)
+        m, p = len(tail.prefix), len(tail.cycle)
+        at(start, 0)
+        switch = 0
+        while behavior._windows[start]._rows is not None:
+            switch += 1
+            at(start, switch)
+        count = switch + 2 * (switch - m) + 3 * p + 1
+        expected = [sr.format(at(start, n)) for n in range(count)]
+        assert [behavior._text(start, n) for n in range(count)] == expected
+        window = behavior._texts[start]
+        assert window._rows is None
+        assert isinstance(window._kept[-1][0][0], Decimal) == (sr is NATURAL)
+        shuffled = rng.sample(range(count), min(count, 30)) * 2
+        rng.shuffle(shuffled)
+        again, _ = masked_at(aut, word)
+        assert [again._text(start, n) for n in shuffled] == [expected[n] for n in shuffled]
+
+
+def test_text_read_is_exact_whatever_the_callers_decimal_context(figure_two):
+    """The decimal steps run in an exact context of their own: with the
+    caller's precision at 5 digits a table of 2^4001 is exact, and the
+    caller's context keeps its settings and raises no flag."""
+    with localcontext() as context:
+        context.prec = 5
+        before = repr(context)
+        behavior = DivergingBehavior(figure_two, up_word([], "ab"))
+        table = [behavior._text(0, n) for n in range(4002)]
+        assert getcontext() is context and repr(context) == before
+    assert table == [str(2 ** n) if n % 2 else "0" for n in range(4002)]
+
+
+def test_a_zero_of_the_decimal_recurrence_is_written_0():
+    """t(n) = -2 t(n - 1) / -3 on a kept zero: with the divisor's sign left
+    in place, the quotient would be -0."""
+    recur = activation._decimal_recurrence([-1], [-2], -3)
+    assert [str(t) for t in recur([([Decimal(0)], 1)])] == ["0"]
+    assert recur([([Decimal(6)], 1)]) == [Decimal(4)]
 
 
 def test_out_of_order_queries_match_ascending_table(figure_two):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divaut import cli
 from divaut.automaton import Automaton, AutomatonClass, classify, converging_weight
 from divaut.activation import BidivergingBehavior, DivergingBehavior
 from divaut.cli import main
@@ -725,14 +726,22 @@ class CountingStdout:
         pass
 
 
-def test_each_table_row_is_one_stdout_write(monkeypatch):
+def test_table_rows_leave_in_blocks_after_the_first(monkeypatch):
+    """Row 0 is one write on its own; every later write is whole rows, at
+    most 64 KiB plus one row; the bytes are those of one write per row."""
     out = CountingStdout()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["eval", str(FIXTURES / "doubling.aut"), "--word", "( a b )^w",
-                 "--n-max", "9"]) == 0
-    assert len(out.parts) == 10
-    assert all(part.endswith("\n") and part.count("\n") == 1 for part in out.parts)
-    assert [part.split("\t")[0] for part in out.parts] == [str(n) for n in range(10)]
+                 "--n-max", "4001"]) == 0
+    rows = [f"{n}\t{2 ** n if n % 2 else 0}\n" for n in range(4002)]
+    assert out.parts[0] == rows[0]
+    assert "".join(out.parts) == "".join(rows)
+    assert all(part.endswith("\n") for part in out.parts)  # so each is whole rows
+    assert all(len(part) <= 64 * 1024 + max(map(len, rows)) for part in out.parts[1:])
+    assert len(out.parts) > 2
+    out.parts.clear()
+    cli._print_rows(iter([]))
+    assert out.parts == []
 
 
 # ---------------------------------------------------------------------------

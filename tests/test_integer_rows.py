@@ -382,5 +382,6 @@ def test_a_purely_imaginary_window_is_live(word):
     finite = words.FiniteWord(AB, ("a", "b"))
     assert converging_weight(IMAGINARY, finite) == gaussian(0, 1)
     # as an expression's tester is decided: one start row, one end vector
-    assert activation._decide(IMAGINARY, word, AUTO, [IMAGINARY.initial],
-                              [IMAGINARY.final]) == ("ExactFieldLRS", [{0}])
+    ends = {0: gaussian(0, 1), 1: gaussian(0, -2)}
+    assert activation._decide(IMAGINARY, word, AUTO, [{0: gaussian(1)}], [ends]) == \
+        ("ExactFieldLRS", [{0}])
