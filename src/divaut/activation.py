@@ -36,17 +36,18 @@ a Q(i) end vector two columns, for the real and the imaginary part.  Over
 the Booleans and the naturals the lifted automaton is the automaton itself.
 Zero tests never reduce.  The masked evaluator steps rows only until they
 are dependent (or repeat) at the cycle's phase points, then steps the
-recurrence of the value numerators, and reduces only the values asked for.
-Its text read steps the recurrence of a natural table in decimal integers,
-which are written in time linear in their digits.  They hold the same
-values: the recurrence holds over the integers, so its one division is
-exact, and every conversion and step runs in :data:`_EXACT`, which holds
-any number of digits and traps any rounding.
+monic integer recurrence of the value numerators, or jumps along it to a
+far length (x^m modulo its characteristic polynomial), and reduces only the
+values asked for.  Its text read steps the recurrence of a natural table in
+decimal integers, which are written in time linear in their digits.  They
+hold the same values: the recurrence is monic, so no step divides, and
+every conversion and step runs in :data:`_EXACT`, which holds any number of
+digits and traps any rounding.
 """
 from __future__ import annotations
 
 import decimal
-from math import gcd
+from math import gcd, inf, prod
 from operator import mul
 
 from ._record import Record
@@ -60,6 +61,7 @@ from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                          traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
                                 decimal.DivisionByZero, decimal.Overflow])
+_ZERO = _EXACT.create_decimal(0)
 
 
 class ActivationPolicy(Record):
@@ -314,28 +316,30 @@ class _MaskedBehavior:
     length m + q p, is x_0 L^q for L the lifted product over one period, so
     a dependency among x_0 .. x_k holds at every later phase.  Over the
     integers (the naturals, and the lifted fields) the first one,
-    sum_{j <= k} c_j x_j = 0 with c_k != 0 and k at most N, the number of
-    lifted states, is found by fraction-free (Bareiss) elimination, paced
-    at one basis vector applied per two row steps so that its cost stays of
-    the order of the rows'.  Every numerator t of a value then
-    satisfies c_k t(n) = -sum_{j < k} c_j t(n - (k - j) p), an exact
-    division, for n >= m + k p.  Over the Booleans (and any other semiring)
-    the first repeat x_k = x_j gives t(n) = t(n - (k - j) p).  Then the rows
-    are dropped and the window steps the numerators of its last k p (or
-    (k - j) p) lengths, each kept with its own scale.  Returned values are
+    sum_{j <= k} c_j x_j = 0 with k at most N, the number of lifted states,
+    is found by fraction-free (Bareiss) elimination, paced at one basis
+    vector applied per two row steps so that its cost stays of the order
+    of the rows'.  Divided by its content it has c_k = +-1 (see
+    :meth:`_Window._dependency`), so every numerator t of a value satisfies
+    t(n) = sum_{j < k} chi_j t(n - (k - j) p) for n >= m + k p, with
+    chi_j = -c_k c_j integers.  Over the Booleans (and any other semiring)
+    the first repeat x_k = x_j gives t(n) = t(n - (k - j) p).  Then the
+    rows are dropped and the window steps the numerators of its last k p
+    (or (k - j) p) lengths, each kept with its own scale, or jumps along the
+    recurrence to a far length (:meth:`_Window._jump`).  Returned values are
     cached, only the values asked for are reduced, and a length below what
     is kept starts the window again.
 
     The text read :meth:`_text` has windows of its own.  Over the naturals
     a text window turns its kept numerators into decimal integers when it
-    switches to the recurrence, and steps the recurrence there: ``str`` of
-    a Python int is quadratic in its digits, of a decimal linear.  The
-    values stay the same integers.  The switch converts each kept integer
-    exactly, and each step is integer multiply-adds and one division that
-    is exact, since the recurrence holds over the integers; all of it runs
-    in :data:`_EXACT`, which holds any number of digits and traps any
-    rounding.  Every other text is the formatted value.  Texts are not
-    cached: a table reads each once.
+    switches to the recurrence, and steps (or jumps) there: ``str`` of a
+    Python int is quadratic in its digits, of a decimal linear.  The values
+    stay the same integers.  The switch converts each kept integer exactly,
+    and each step or jump is integer multiply-adds, with no division; all of
+    it runs in :data:`_EXACT`, which holds any number of digits and traps
+    any rounding.  Every text is written by ``Semiring._text`` from the
+    numerators and the scale.  Texts are not cached: a table reads each
+    once.
     """
 
     def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
@@ -378,21 +382,27 @@ class _MaskedBehavior:
 
 class _Window:
     """The values of one window start, or for the text read their text (see
-    :class:`_MaskedBehavior`)."""
+    :class:`_MaskedBehavior`).  Once the recurrence is known, a read more
+    than the kept lengths (and a period) ahead jumps by whole periods and
+    steps the fewer than p lengths left; reads in order only step."""
 
     def __init__(self, behavior: _MaskedBehavior, start: int, text: bool):
         self._behavior, self._start, self._values = behavior, start, {}
         self._text = text
         self._decimal = text and behavior._lift.semiring is NATURAL
+        self._combine = _decimal_combination if self._decimal else _integer_combination
         word = behavior.word  # from the start on: m letters, then a cycle of p
         bi = isinstance(word, BiInfiniteWord)
         self._cut = max(0, (word.origin + len(word.center) if bi else len(word.prefix)) - start)
         self._period = len(word.right if bi else word.cycle)
+        self._sigma = prod(behavior._scales[word.char_at(start + self._cut + k)]
+                           for k in range(self._period))  # the scale of one period
         self._restart()
 
     def _restart(self):
         behavior = self._behavior
         self._rows, self._position, self._scale = behavior._starts, 0, behavior._scale
+        self._reach = inf  # a read further ahead jumps
         self._kept = []  # (numerators, scale) of the lengths up to the position
         # reduced stacks by pivot (or stacks seen), stacks waiting, unspent row steps
         self._search, self._stacks, self._credit = {}, [], 0
@@ -404,15 +414,15 @@ class _Window:
         if n <= self._position - len(self._kept):
             self._restart()
         while self._position < n:
-            self._step()
+            if n - self._position > self._reach:
+                self._jump((n - self._position) // self._period)
+            else:
+                self._step()
         numerators, scale = self._kept[n - self._position - 1]
         sr = self._behavior.automaton.semiring
-        value = sr._reduce(numerators, scale)
-        if self._decimal:  # str is NATURAL.format
-            return str(value)
         if self._text:
-            return sr.format(value)
-        self._values[n] = value
+            return sr._text(numerators, scale)
+        value = self._values[n] = sr._reduce(numerators, scale)
         return value
 
     def _step(self):
@@ -421,12 +431,36 @@ class _Window:
         self._position += 1
         self._scale *= behavior._scales[symbol]
         if self._rows is None:
-            self._kept.append((self._recur(self._kept), self._scale))
-            del self._kept[0]
+            kept = self._kept
+            kept.append((kept[0][0] if self._chi is None else  # a repeat keeps one lag
+                         self._combine(self._taps, [t for t, _ in kept[::self._period]]),
+                         self._scale))
+            del kept[0]
         else:
             self._rows = [advance_row(behavior._lift, row, symbol) for row in self._rows]
             self._credit += len(self._rows)
             self._record()
+
+    def _jump(self, periods: int):
+        """Move the kept lengths on by ``periods`` periods.  A repeat of lag
+        l rotates them by periods * p modulo l.  Under the recurrence, the
+        kept lengths of one phase are s(0) .. s(k - 1) of a sequence with
+        s(i + k) = sum_j chi_j s(i + j), so s(periods + i) is the
+        combination of them by the coefficients of x^(periods + i) modulo
+        chi(x) = x^k - sum_j chi_j x^j.  Each scale gains the factor
+        sigma^periods, sigma the scale of one period."""
+        kept, p = self._kept, self._period
+        if self._chi is None:
+            shift = periods * p % len(kept)
+            numerators = [t for t, _ in kept[shift:] + kept[:shift]]
+        else:
+            powers = _powers(self._chi, periods, -(-len(kept) // p))
+            numerators = [self._combine(powers[i // p], [t for t, _ in kept[i % p::p]])
+                          for i in range(len(kept))]
+        factor = self._sigma ** periods
+        self._kept = [(t, scale * factor) for t, (_, scale) in zip(numerators, kept)]
+        self._position += periods * p
+        self._scale *= factor
 
     def _record(self):
         """Keep the current numerators; at a phase point, seek the recurrence."""
@@ -443,16 +477,28 @@ class _Window:
             found = self._dependency()
         else:
             lag = (q - self._search.setdefault(tuple(rows), q)) * self._period
-            found = lag and (lag, lambda kept: kept[-lag][0])
+            found = lag and (lag, None)
         if found:
-            lag, self._recur = found
+            lag, self._chi = found
             del self._kept[:-max(lag, 1)]
+            self._reach, self._taps = max(lag, self._period), self._chi  # taps: of a step
             if self._decimal:
                 self._kept = [([_EXACT.create_decimal(t) for t in numerators], scale)
                               for numerators, scale in self._kept]
+                self._taps = [_EXACT.create_decimal(c) for c in self._chi]
             self._rows = self._search = None
 
     def _dependency(self):
+        """(k p, chi) once x_k = sum_{j < k} chi_j x_j is found, else None.
+
+        The first dependency sum_{j <= k} c_j x_j = 0, divided by its
+        content, has c_k = +-1: x_0 .. x_(k-1) are independent, so it is
+        unique up to a factor and is a multiple of mu, the monic polynomial
+        of least degree with x_0 mu(L) = 0.  mu divides the characteristic
+        polynomial of L, which is monic over the integers, so by Gauss's
+        lemma mu has integer coefficients; being monic it is primitive, and
+        the content-free dependency is +-mu.  So chi_j = -c_k c_j, and no
+        step divides."""
         while self._stacks and self._credit >= 2 * len(self._search):
             q, vector = len(self._search), self._stacks.pop(0)
             self._credit -= 2 * q
@@ -467,37 +513,53 @@ class _Window:
                 self._search[pivot] = vector
                 continue
             content = gcd(*vector.values())
-            vector = {j: v // content for j, v in vector.items()}
-            divisor = vector[-1 - q]
-            lags = [(j - q) * self._period for j in range(q) if -1 - j in vector]
-            coefficients = [-vector[-1 - j] for j in range(q) if -1 - j in vector]
-            if self._decimal:
-                return q * self._period, _decimal_recurrence(lags, coefficients, divisor)
-            zeros = [0] * len(self._behavior._ends)
-
-            def recur(kept):  # zeros when x_q = 0, as is every later stack
-                terms = [kept[lag][0] for lag in lags]
-                return [sum(map(mul, coefficients, column)) // divisor
-                        for column in zip(*terms)] or zeros
-            return q * self._period, recur
+            lead = vector[-1 - q] // content
+            if lead not in (1, -1):
+                raise ArithmeticError(f"recurrence with leading coefficient {lead}, not +-1")
+            return q * self._period, [-lead * vector.get(-1 - j, 0) // content for j in range(q)]
         return None
 
 
-def _decimal_recurrence(lags, coefficients, divisor):
-    """The recurrence of :meth:`_Window._dependency` on the one numerator of
-    a natural value, held as a decimal integer.  The divisor's sign moves
-    into the coefficients, so that a zero value is +0 and is written 0: a
-    sum started at +0 is never -0, and +0 over a positive divisor is +0."""
-    sign, unit = (1 if divisor > 0 else -1), abs(divisor) == 1
-    coefficients = [_EXACT.create_decimal(c * sign) for c in coefficients]
-    divisor, zero = _EXACT.create_decimal(divisor * sign), _EXACT.create_decimal(0)
+def _integer_combination(coefficients, terms):
+    """sum_j coefficients[j] terms[j], numerator by numerator."""
+    return [sum(map(mul, coefficients, column)) for column in zip(*terms)]
 
-    def recur(kept):  # zero when x_q = 0, as is every later stack
-        total = zero
-        for c, lag in zip(coefficients, lags):
-            total = _EXACT.fma(c, kept[lag][0][0], total)
-        return [total if unit else _EXACT.divide(total, divisor)]
-    return recur
+
+def _decimal_combination(coefficients, terms):
+    """The same on the one numerator of a natural value, held as a decimal
+    integer, in :data:`_EXACT`, which takes integer coefficients (a jump's)
+    exactly.  The sum starts at +0, so a zero is +0 and is written 0: -0 plus +0 is
+    +0."""
+    total = _ZERO
+    for c, (t,) in zip(coefficients, terms):
+        total = _EXACT.fma(c, t, total)
+    return [total]
+
+
+def _powers(chi, exponent: int, count: int) -> list:
+    """The coefficients of x^e modulo x^k - sum_j chi_j x^j for e =
+    exponent .. exponent + count - 1, by square and multiply over the
+    integers (Fiduccia, SIAM J. Comput. 14, 1985)."""
+    k = len(chi)
+
+    def reduce(full):  # from the top: x^d = x^(d - k) sum_j chi_j x^j
+        while len(full) > k:
+            top = full.pop()
+            for j, c in enumerate(chi):
+                full[len(full) - k + j] += top * c
+        return full
+
+    power = reduce([1] + [0] * (k - 1))
+    for bit in bin(exponent)[2:]:
+        full = [0] * (2 * k - 1)
+        for i, a in enumerate(power):
+            for j, b in enumerate(power):
+                full[i + j] += a * b
+        power = reduce([0] + reduce(full) if bit == "1" else full)
+    powers = [power]
+    while len(powers) < count:
+        powers.append(reduce([0] + powers[-1]))
+    return powers
 
 
 class DivergingBehavior(_MaskedBehavior):

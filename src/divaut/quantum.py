@@ -287,8 +287,10 @@ def build_hs_hamiltonian(terms) -> Automaton:
 
 
 def asymptotic_rate(sequence, n_probe: int) -> GaussianRational:
-    """Discrete per-site rate s(n) - s(n-1) at the probe point; pick the
-    probe far enough out that transients have died off."""
+    """Discrete per-site rate s(n) - s(n-1) at the probe point; it shows the
+    asymptotic rate once the transients have died off.  A far probe is
+    cheap: a masked evaluator jumps along the recurrence of its values, in a
+    number of products that grows with the logarithm of the probe."""
     if n_probe < 2:
         raise ValueError("probe point must be at least 2")
     at = sequence.at if hasattr(sequence, "at") else sequence

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DivautParseError, SemiringMismatch
 
@@ -145,6 +145,18 @@ def _format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _fraction_text(t: int, s: int) -> str:
+    """t/s (s > 0) as :func:`_format_fraction` writes it in lowest terms.
+    The gcd is that of the odd parts, shifted left by the smaller 2-adic
+    valuation, which is cheap where the scale is mostly a power of 2."""
+    if not t:
+        return "0"
+    low_t, low_s = (t & -t).bit_length() - 1, (s & -s).bit_length() - 1
+    g = gcd(t >> low_t, s >> low_s) << min(low_t, low_s)
+    t, s = t // g, s // g
+    return str(t) if s == 1 else f"{t}/{s}"
+
+
 def format_gaussian(value: GaussianRational) -> str:
     if value.imag == 0:
         return _format_fraction(value.real)
@@ -209,6 +221,10 @@ class Semiring:
         """The value with ``numerators``, one per part of :meth:`_clear_ends`,
         over ``scale``: undoes the clearing."""
         return numerators[0]
+
+    def _text(self, numerators, scale) -> str:
+        """The formatted value with ``numerators`` over ``scale``."""
+        return self.format(self._reduce(numerators, scale))
 
     def check(self, value):
         """Validate/coerce an externally supplied value; raises TypeError."""
@@ -282,6 +298,9 @@ class NaturalSemiring(_Numeric):
     def format(self, value):
         return str(value)
 
+    def _text(self, numerators, scale):
+        return str(numerators[0])  # an int, or a text window's decimal integer
+
 
 class _Integers(_Numeric):
     """Z, the lifted carrier of both fields."""
@@ -309,6 +328,9 @@ class RationalSemiring(_Numeric):
 
     def _reduce(self, numerators, scale):
         return Fraction(numerators[0], scale)
+
+    def _text(self, numerators, scale):
+        return _fraction_text(numerators[0], scale)
 
     def check(self, value):
         if isinstance(value, bool):
@@ -369,6 +391,13 @@ class GaussianRationalSemiring(_Numeric):
     def _reduce(self, numerators, scale):
         real, imag = numerators
         return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
+
+    def _text(self, numerators, scale):
+        real, imag = numerators
+        if not imag:
+            return _fraction_text(real, scale)
+        sign = "+" if imag > 0 else "-"
+        return f"{_fraction_text(real, scale)}{sign}{_fraction_text(abs(imag), scale)}i"
 
     def check(self, value):
         if isinstance(value, GaussianRational):

@@ -1,4 +1,6 @@
 import random
+from pathlib import Path
+from unittest import mock
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from divaut.activation import (
 )
 from divaut.automaton import Automaton, converging_weight
 from divaut.errors import UnsupportedExactDecision
+from divaut.fileformat import parse_automaton
 from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, Semiring, gaussian
 from divaut.words import Alphabet, BiInfiniteWord, UPInfiniteWord, slice_word
 
@@ -37,6 +40,8 @@ from conftest import (
     random_up_word,
     up_word,
 )
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def cancellation_gadget():
@@ -681,6 +686,61 @@ def test_text_read_is_the_formatted_value(make, seed, padded, two_sided):
         assert [again._text(start, n) for n in shuffled] == [expected[n] for n in shuffled]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([random_natural_automaton, random_rational_automaton,
+                        random_gaussian_automaton, random_boolean_automaton]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_far_reads_jump_to_the_values_read_in_order(make, seed, padded, two_sided):
+    """A read more than the kept lengths ahead jumps along the recurrence
+    (over the Booleans, along the repeat).  Values and texts read at far
+    lengths in shuffled order, then below the kept span (which restarts the
+    window), equal the values read in order and the dense walk."""
+    rng = random.Random(seed)
+    aut = make(rng, max_states=4, density=0.6)
+    if padded:
+        aut = with_dead_ends(aut)
+    word = random_bi_word(rng) if two_sided else random_up_word(rng)
+    sr, count = aut.semiring, 240
+    jumps = []
+    jump = activation._Window._jump
+
+    def counted(window, periods):
+        jumps.append(periods)
+        jump(window, periods)
+    for start in ((-3, 1) if two_sided else (0,)):
+        ordered, at = masked_at(aut, word)
+        table = [at(start, n) for n in range(count)]
+        live = [pair for pair, ok in ordered.verdict.pairs.items() if ok]
+        assert table == walked_table(aut, word, live, start, count)
+        far = rng.sample(range(count // 2, count), 8) + [rng.randrange(count // 8)]
+        with mock.patch.object(activation._Window, "_jump", counted):
+            behavior, at = masked_at(aut, word)
+            assert [at(start, n) for n in far] == [table[n] for n in far]
+            assert [behavior._text(start, n) for n in far] == [sr.format(table[n]) for n in far]
+    assert jumps
+
+
+def test_a_far_read_steps_the_recurrence_a_bounded_number_of_times():
+    """On ( a b )^w the doubling automaton's values are 0 at even n and 2^n
+    at odd n: a read at n jumps there from the switch and then steps fewer
+    than a period, over the naturals and, along the repeat, the Booleans."""
+    aut = parse_automaton((FIXTURES / "doubling.aut").read_text())
+    step, steps = activation._Window._step, []
+
+    def counted(window):
+        steps.append(window._rows is None)
+        step(window)
+    for n in (10 ** 3, 10 ** 4 + 1, 10 ** 5, 10 ** 5 + 3):
+        for automaton, value in ((aut, 2 ** n if n % 2 else 0), (as_boolean(aut), n % 2 == 1)):
+            behavior = DivergingBehavior(automaton, up_word([], "ab"))
+            steps.clear()
+            with mock.patch.object(activation._Window, "_step", counted):
+                assert behavior.at(n) == value
+                text = behavior._text(0, n)  # 2^n has more digits than str(int) writes
+                assert (text == BOOLEAN.format(value)) if isinstance(value, bool) else (Decimal(text) == value)
+            assert sum(steps) <= 4
+
+
 def test_text_read_is_exact_whatever_the_callers_decimal_context(figure_two):
     """The decimal steps run in an exact context of their own: with the
     caller's precision at 5 digits a table of 2^4001 is exact, and the
@@ -695,11 +755,12 @@ def test_text_read_is_exact_whatever_the_callers_decimal_context(figure_two):
 
 
 def test_a_zero_of_the_decimal_recurrence_is_written_0():
-    """t(n) = -2 t(n - 1) / -3 on a kept zero: with the divisor's sign left
-    in place, the quotient would be -0."""
-    recur = activation._decimal_recurrence([-1], [-2], -3)
-    assert [str(t) for t in recur([([Decimal(0)], 1)])] == ["0"]
-    assert recur([([Decimal(6)], 1)]) == [Decimal(4)]
+    """t(n) = -2 t(n - 1) on a kept zero: -2 times +0 is -0, which a sum
+    started at -0 would keep.  The jump's coefficients come as ints."""
+    combine = activation._decimal_combination
+    assert [str(t) for t in combine([Decimal(-2)], [[Decimal(0)]])] == ["0"]
+    assert [str(t) for t in combine([-2, 3], [[Decimal(0)], [Decimal(0)]])] == ["0"]
+    assert combine([-2, 3], [[Decimal(6)], [Decimal(5)]]) == [Decimal(3)]
 
 
 def test_out_of_order_queries_match_ascending_table(figure_two):
