@@ -27,8 +27,9 @@ A semiring that cancels but is not a field has no exact rule and raises
 :class:`UnsupportedExactDecision`.  ``horizon:K`` is an explicit
 approximation for differential testing: prefix lengths (K/2, K], extents
 [K/2, K].  Every rule makes one pass per start row and reports for each row
-the set of end columns it activates; on a two-sided word it also makes one
-pass per end column (heads x tails), unless it reads the rotations.  Rows are
+the set of end columns it activates, by row walks only: on a two-sided
+word not read by its rotations each head of the row walks the right cycle
+(over the Booleans and the naturals, the heads' one sum).  Rows are
 those of the lifted automaton: over the fields integer numerators over one
 denominator, and an end vector is one integer column per numerator of a
 value: a Q(i) row is its real and imaginary integer rows side by side, and
@@ -51,7 +52,7 @@ from math import gcd, inf, prod
 from operator import mul
 
 from ._record import Record
-from .automaton import Automaton, _on_paths, _restrict, advance_col, advance_row
+from .automaton import Automaton, _on_paths, _restrict, advance_row
 from .errors import UnsupportedExactDecision
 from .semiring import _INTEGERS, BOOLEAN, NATURAL, WeightSequence, BiWeightGrid
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
@@ -112,74 +113,49 @@ def _sparse(sr, vec):
     return [(j, w) for j, w in enumerate(vec) if not sr.is_zero(w)]
 
 
-def _walk(aut, word, row, ends, lo: int, hi: int) -> set:
-    """Keys c of ``ends`` such that row . M(w[0..n]) . col is non-zero for a
-    sparse column col of ends[c] and some n in [lo, hi): one advance_row
-    walk, reading every column at each position until each end is live.
+def _walk(aut, word, current, pending, lo: int, hi: int):
+    """Delete from ``pending`` the keys c such that current . M(w[0..n]) . col
+    is non-zero for a sparse column col of pending[c] and some n in
+    [lo, hi): one advance_row walk, reading every pending column at each
+    position until none is left.
 
     The window [|u| + d|v|, |u| + 2d|v|) is exact: it is the recurrence
     indices [d, 2d) of every residue of the cycle length.
     """
     sr = aut.semiring
-    pending = dict(ends)
-    live = set()
-    current = row
     for n in range(hi):
         if n >= lo:
             for c, cols in list(pending.items()):
                 if any(not sr.is_zero(sr.sum(sr.mul(current[j], w) for j, w in col))
                        for col in cols):
-                    live.add(c)
                     del pending[c]
             if not pending:
-                break
+                return
         if n + 1 < hi:
             current = advance_row(aut, current, word.char_at(n))
-    return live
 
 
-def _steps(aut, step, vec, symbols):
+def _steps(aut, row, symbols):
     for symbol in symbols:
-        vec = step(aut, vec, symbol)
-    return vec
+        row = advance_row(aut, row, symbol)
+    return row
 
 
-def _extent_vectors(aut, step, vec, cycle, extents):
-    """``vec`` stepped over the last s symbols of ``cycle`` and then a copies
-    of it, for each extent s + a * len(cycle) in ``extents``: one walk per
-    phase s."""
-    n = len(cycle)
+def _heads(aut, row, word, extents):
+    """The distinct non-zero heads row . M(l[-e:]) . M(m) of l^~w m r^w
+    for e in ``extents``, l[-e:] the e letters left of the center, lazily:
+    one walk along the left cycle per phase e mod |l|."""
+    ring, n, seen = aut.semiring, len(word.left), set()
     for s in range(n):
-        current = _steps(aut, step, vec, cycle[n - s:])
+        current = _steps(aut, row, word.left[n - s:])
         for e in range(s, extents.stop, n):
             if e > s:
-                current = _steps(aut, step, current, cycle)
+                current = _steps(aut, current, word.left)
             if e >= extents.start:
-                yield current
-
-
-def _extent_walks(aut, word, rows, ends, left_extents, right_extents) -> dict:
-    """Two-sided decision over the windows reaching e symbols left and g
-    symbols right of the center, for e and g in the given extents: for each
-    key r of ``rows``, the keys c of ``ends`` that it activates.
-
-    Such a window sums to head . tail, with head = row . M(w[-e..0)) . M(m)
-    and tail = M(w[|m|..|m| + g)) . col for a column col of an end; heads
-    are row walks along the left cycle and tails column walks along the
-    reversed right cycle.
-    """
-    sr = aut.semiring
-    tails = {c: [_sparse(sr, t) for col in cols
-                 for t in _extent_vectors(aut, advance_col, col, word.right[::-1], right_extents)]
-             for c, cols in ends.items()}
-    live = {}
-    for r, row in rows.items():
-        heads = [_steps(aut, advance_row, h, word.center)
-                 for h in _extent_vectors(aut, advance_row, row, word.left, left_extents)]
-        live[r] = {c for c, tail in tails.items()
-                   if any(not sr.is_zero(sr.sum(sr.mul(h[j], w) for j, w in t))
-                          for h in heads for t in tail)}
-    return live
+                head = _steps(aut, current, word.center)
+                if head not in seen and not all(map(ring.is_zero, head)):
+                    seen.add(head)
+                    yield head
 
 
 def _rotations(word: BiInfiniteWord) -> list:
@@ -228,6 +204,17 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     columns is.  A Q(i) state counts once in d although it lifts to two
     integer entries: the complex sums satisfy a recurrence of order d, and
     the two integers are only their coordinates.
+
+    Every word shape gives each row starts (ray, head) that :func:`_walk`
+    reads over one range [lo, hi): the row on a one-sided word or on each
+    rotation of a purely periodic one, else each distinct non-zero head
+    h_e = row . M(l[-e:]) . M(m) (:func:`_heads`) on r^w, for the window of
+    extents (e, g) sums to h_e . M(r[:g]) . col.  A row walks its starts on
+    the ends not live yet and stops once every end is.  A lifted ring with
+    no cancellation (the Booleans, the naturals) is zero-sum-free, a + b = 0
+    only for a = b = 0, so sum_e h_e . M(r[:g]) . col, which distributivity
+    makes (sum_e h_e) . M(r[:g]) . col, is non-zero iff some term is: one
+    walk of the summed distinct heads decides the row.
     """
     sr = aut.semiring
     bound = policy.horizon if policy.kind == "horizon" else None
@@ -248,25 +235,38 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     d, aut, _, _, cleared, parts = _lift_between(aut, rows, cols)  # zero tests ignore scales
     ring = aut.semiring
     walked = {r: row for r, row in enumerate(cleared) if not all(map(ring.is_zero, row))}
-    columns = list(zip(*parts))  # per end vector: its integer columns
-    ends = {c: [_sparse(ring, col) for col in cols] for c, cols in enumerate(columns)}
+    ends = {c: [_sparse(ring, col) for col in cols] for c, cols in enumerate(zip(*parts))}
     ends = {c: cols for c, cols in ends.items() if any(cols)}
+
+    def heads(row):
+        return [row]
     if isinstance(word, UPInfiniteWord):
-        if bound is not None:
-            lo, hi = bound // 2 + 1, bound + 1
-        else:
-            lo = len(word.prefix) + d * len(word.cycle)
-            hi = lo + d * len(word.cycle)
-        live = {r: _walk(aut, word, row, ends, lo, hi) for r, row in walked.items()}
+        rays = [word]
+        lo = bound // 2 + 1 if bound is not None else len(word.prefix) + d * len(word.cycle)
+        hi = bound + 1 if bound is not None else lo + d * len(word.cycle)
     elif bound is None and (rays := _rotations(word)):
-        lo = d * len(rays)  # the window [d p, 2 d p) of each rotation
-        live = {r: set().union(*(_walk(aut, ray, row, ends, lo, 2 * lo) for ray in rays))
-                for r, row in walked.items()}
+        lo, hi = d * len(rays), 2 * d * len(rays)  # the window [d p, 2 d p) of each rotation
     else:
-        extents = ([range(max(1, bound // 2), bound + 1)] * 2 if bound is not None else
-                   [range(d * len(side), 2 * d * len(side)) for side in (word.left, word.right)])
-        live = _extent_walks(aut, word, walked, {c: columns[c] for c in ends}, *extents)
-    return method, [live.get(r, set()) for r in range(len(rows))]
+        rays = [UPInfiniteWord(word.alphabet, (), word.right)]
+        left, right = ([range(max(1, bound // 2), bound + 1)] * 2 if bound is not None else
+                       [range(d * len(side), 2 * d * len(side)) for side in (word.left, word.right)])
+        lo, hi = right.start, right.stop
+
+        def heads(row):
+            found = _heads(aut, row, word, left)
+            if ring.has_cancellation:
+                return found
+            total = tuple(map(ring.sum, zip(*found)))  # () when there is no head
+            return [total] if total else []
+    live = [set() for _ in rows]
+    for r, row in walked.items():
+        pending = dict(ends)
+        for ray, head in ((ray, head) for head in heads(row) for ray in rays):
+            _walk(aut, ray, head, pending, lo, hi)
+            if not pending:
+                break
+        live[r] = ends.keys() - pending.keys()
+    return method, live
 
 
 def activation_verdicts(aut: Automaton, word, policy: ActivationPolicy = AUTO,

@@ -43,14 +43,6 @@ def advance_row(aut, row, symbol):
     return tuple(out)
 
 
-def advance_col(aut, col, symbol):
-    """M(symbol) . col using the sparse adjacency, skipping zero entries of
-    ``col``."""
-    sr = aut.semiring
-    return tuple(sr.sum(sr.mul(w, col[j]) for j, w in row if not sr.is_zero(col[j]))
-                 for row in aut.sparse_rows(symbol))
-
-
 class AutomatonClass(enum.Enum):
     GENERAL = "general"
     NORMALIZED = "normalized"
@@ -65,7 +57,7 @@ class Automaton(Record):
     non-zero.  ``transitions`` maps each symbol to a per-state adjacency
     (tuples of (target, weight) pairs, sorted by target); missing symbols
     mean no transitions.  This is the only matrix representation: read it
-    through :func:`advance_row`, :func:`advance_col` and :meth:`edges`."""
+    through :func:`advance_row` (row times matrix) and :meth:`edges`."""
 
     semiring: Semiring
     alphabet: Alphabet
@@ -339,6 +331,11 @@ def normalize(aut: Automaton) -> Automaton:
 
     Only defined when the input rejects the empty word; the construction has
     no way to carry an empty-word weight.
+
+    Each edge (i, j, s, w) gives an entry edge of weight initial[i] w, an
+    exit edge w final[j] and a corner edge initial[i] w final[j];
+    :meth:`Automaton.build` adds them up into initial . M(s), M(s) . final
+    and initial . M(s) . final.
     """
     sr = aut.semiring
     eps = dot(sr, aut.initial, aut.final)
@@ -349,19 +346,15 @@ def normalize(aut: Automaton) -> Automaton:
     n = aut.num_states
     new_initial, new_final = n, n + 1
     edges = list(aut.edges())
-    for symbol in aut.alphabet:
-        if aut.transitions.get(symbol) is None:
-            continue
-        entry_row = advance_row(aut, aut.initial, symbol)
-        exit_col = advance_col(aut, aut.final, symbol)
-        for j in range(n):
-            if not sr.is_zero(entry_row[j]):
-                edges.append((new_initial, j, symbol, entry_row[j]))
-            if not sr.is_zero(exit_col[j]):
-                edges.append((j, new_final, symbol, exit_col[j]))
-        corner = dot(sr, entry_row, aut.final)
-        if not sr.is_zero(corner):
-            edges.append((new_initial, new_final, symbol, corner))
+    starts, ends = set(aut.initial_states()), set(aut.final_states())
+    for i, j, symbol, w in aut.edges():
+        if i in starts:
+            edges.append((new_initial, j, symbol, sr.mul(aut.initial[i], w)))
+        if j in ends:
+            edges.append((i, new_final, symbol, sr.mul(w, aut.final[j])))
+            if i in starts:
+                edges.append((new_initial, new_final, symbol,
+                              sr.mul(sr.mul(aut.initial[i], w), aut.final[j])))
     return Automaton.build(sr, aut.alphabet, n + 2, {new_initial: sr.one},
                            {new_final: sr.one}, edges)
 

@@ -266,6 +266,80 @@ def test_twosided_transient_and_phase_pairs():
         assert activates_bidiverging(phase, bi_word("ab", "", "ab"), 0, 1)
 
 
+def dense_heads_times_tails(aut, word, policy):
+    """Two-sided verdicts by heads x tails on dense matrices from
+    ``conftest.dense``: (i, f) is live when some head
+    e_i . M(l[-e:]) . M(m), e in the left extents, times some tail
+    M(r[:g]) . e_f, g in the right extents, is non-zero.  The exact extents
+    are [d|l|, 2d|l|) x [d|r|, 2d|r|), d the states on a path from an
+    initial to a final state; horizon:K takes [K/2, K] on both sides."""
+    sr, n = aut.semiring, aut.num_states
+    mats = {symbol: dense(aut, symbol) for symbol in aut.alphabet}
+    identity = [[sr.one if i == j else sr.zero for j in range(n)] for i in range(n)]
+
+    def times(x, y):
+        return [[sr.sum(sr.mul(x[i][k], y[k][j]) for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    def closure(seeds, step):
+        seen, todo = set(seeds), list(seeds)
+        while todo:
+            s = todo.pop()
+            for t in range(n):
+                if t not in seen and any(not sr.is_zero(step(m, s, t)) for m in mats.values()):
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    d = len(closure(aut.initial_states(), lambda m, s, t: m[s][t])
+            & closure(aut.final_states(), lambda m, s, t: m[t][s]))
+    if policy.kind == "horizon":
+        left = right = range(max(1, policy.horizon // 2), policy.horizon + 1)
+    else:
+        left, right = (range(d * len(side), 2 * d * len(side)) for side in (word.left, word.right))
+    center = identity
+    for symbol in word.center:
+        center = times(center, mats[symbol])
+    heads, tails, before, after = [], [], identity, identity
+    for e in range(1, max(left.stop, right.stop)):
+        before = times(mats[word.left[-e % len(word.left)]], before)  # M(l[-e:])
+        after = times(after, mats[word.right[(e - 1) % len(word.right)]])  # M(r[:e])
+        if e in left:
+            heads.append(times(before, center))
+        if e in right:
+            tails.append(after)
+    return {(i, f): any(not sr.is_zero(sr.sum(sr.mul(h[i][k], t[k][f]) for k in range(n)))
+                        for h in heads for t in tails)
+            for i in aut.initial_states() for f in aut.final_states()}
+
+
+@pytest.mark.parametrize("make", [
+    random_rational_automaton, random_gaussian_automaton, random_natural_automaton,
+    lambda rng, **shape: as_boolean(random_natural_automaton(rng, **shape))],
+    ids=["rational", "gaussian", "natural", "boolean"])
+def test_two_sided_verdicts_match_dense_heads_times_tails(make):
+    """The row walks of the heads along the right cycle give the verdicts
+    of every head against every tail, on non-periodic and purely periodic
+    words (where ``auto`` reads the rotations), exactly and under
+    horizon:K; every third automaton carries dead ends."""
+    rng = random.Random(47)
+    shapes = set()
+    for k in range(16):
+        aut = make(rng, max_states=6, density=0.35)
+        if k % 3 == 2:
+            aut = with_dead_ends(aut)
+        if k % 2:
+            word = random_bi_word(rng)
+        else:
+            cycle = [rng.choice("ab") for _ in range(rng.randint(1, 3))]
+            word = bi_word(cycle, cycle[:rng.randint(0, len(cycle))], cycle)
+        for policy in (AUTO, horizon(rng.randint(2, 9))):
+            verdict = activation_verdicts(aut, word, policy).pairs
+            assert verdict == dense_heads_times_tails(aut, word, policy), (k, word, policy)
+            shapes.add((bool(activation._rotations(word)), any(verdict.values())))
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_bidiverging_shift_invariance():
     rng = random.Random(13)
     for _ in range(12):

@@ -35,12 +35,14 @@ from divaut.semiring import NATURAL, RATIONAL
 
 from conftest import (
     AB,
+    as_boolean,
     bi_word,
     dense,
     enumerate_path_weight,
     finite,
     random_bi_word,
     random_finite_word,
+    random_gaussian_automaton,
     random_natural_automaton,
     random_rational_automaton,
     random_up_word,
@@ -197,6 +199,44 @@ def test_normalize_random_behavior_equal():
             word = random_finite_word(rng, max_len=6)
             assert converging_weight(normalize(aut), word) == \
                 converging_weight(aut, word)
+
+
+def dense_normalize(aut):
+    """``normalize`` from dense matrices: per symbol s, the entry row
+    initial . M(s), the exit column M(s) . final and the corner
+    initial . M(s) . final, from ``conftest.dense`` alone."""
+    sr, n = aut.semiring, aut.num_states
+    edges = list(aut.edges())
+    for symbol in aut.alphabet:
+        mat = dense(aut, symbol)
+        entry = [sr.sum(sr.mul(aut.initial[i], mat[i][j]) for i in range(n)) for j in range(n)]
+        exit_ = [sr.sum(sr.mul(mat[i][j], aut.final[j]) for j in range(n)) for i in range(n)]
+        corner = sr.sum(sr.mul(entry[j], aut.final[j]) for j in range(n))
+        edges += [(n, j, symbol, w) for j, w in enumerate(entry)]
+        edges += [(i, n + 1, symbol, w) for i, w in enumerate(exit_)]
+        edges.append((n, n + 1, symbol, corner))
+    return Automaton.build(sr, aut.alphabet, n + 2, {n: sr.one}, {n + 1: sr.one}, edges)
+
+
+@pytest.mark.parametrize("make", [
+    random_rational_automaton, random_gaussian_automaton, random_natural_automaton,
+    lambda rng, **shape: as_boolean(random_natural_automaton(rng, **shape))],
+    ids=["rational", "gaussian", "natural", "boolean"])
+def test_normalize_equals_the_dense_construction(make):
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(25):
+        aut = make(rng, max_states=5, density=0.5)
+        sr = aut.semiring
+        # no final weight on an initial state: the empty word weighs zero
+        final = [sr.zero if i in aut.initial_states() else w for i, w in enumerate(aut.final)]
+        aut = Automaton.build(sr, AB, aut.num_states, aut.initial, final, list(aut.edges()))
+        if classify(aut) is AutomatonClass.NORMALIZED:
+            assert normalize(aut) is aut
+            continue
+        assert normalize(aut) == dense_normalize(aut)
+        checked += 1
+    assert checked >= 15
 
 
 # ---------------------------------------------------------------------------

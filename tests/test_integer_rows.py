@@ -358,6 +358,40 @@ def test_a_start_off_every_path_steps_no_head(row_counter):
     assert len(row_counter) == steps
 
 
+def a_then_b_automaton(sr, live):
+    """Starts 0 and 1, end 2, on states 0 -a-> 0, 0 -a-> 1, 1 -b-> 1,
+    1 -a-> 2 and 2 -a-> 2: every state is on a path to the end.  From 0,
+    a^e reaches (1, 1, e - 1) over the naturals, from 1 (0, 0, 1).  With
+    ``live`` the end also loops on b."""
+    one = sr.one
+    edges = [(0, 0, "a", one), (0, 1, "a", one), (1, 1, "b", one), (1, 2, "a", one),
+             (2, 2, "a", one)] + [(2, 2, "b", one)] * live
+    return Automaton.build(sr, AB, 3, {0: one, 1: one}, {2: one}, edges)
+
+
+@pytest.mark.parametrize("sr", [BOOLEAN, NATURAL, RATIONAL, GAUSSIAN], ids=lambda sr: sr.name)
+def test_two_sided_walks_each_head_along_the_right_cycle(row_counter, sr):
+    """On ( a )^~w . ( b )^w, with d = 3, each start row steps its heads
+    along the left cycle (2d - 1 = 5 steps, the extents e in [3, 6)) and
+    walks them along the right cycle over the lengths [3, 6).  No window
+    a^e b^g with g >= 1 ends in state 2 unless it loops on b.  Dead: a walk
+    steps 2d - 1 = 5 times; over the Booleans and the naturals the heads
+    of a row are summed and walked once, over a field each distinct head
+    of row 0 (three) and row 1 (one) walks.  Live: the first head of each
+    row is live at length 3, so a field decision steps its heads only up
+    to e = 3 and walks 3 steps, and a sum still steps every head."""
+    word = bi_word("a", "", "b")
+    assert activation._rotations(word) == []
+    summed = not sr.has_cancellation
+    dead = activation_verdicts(a_then_b_automaton(sr, live=False), word)
+    assert dead.pairs == {(0, 2): False, (1, 2): False}
+    assert len(row_counter) == 2 * 5 + (2 if summed else 3 + 1) * 5
+    row_counter.clear()
+    live = activation_verdicts(a_then_b_automaton(sr, live=True), word)
+    assert live.pairs == {(0, 2): True, (1, 2): True}
+    assert len(row_counter) == 2 * ((5 if summed else 3) + 3)
+
+
 # state 0 is initial, its loops on a and b weigh 1 and its final weight is i:
 # every window sums to i, whose real part is 0
 IMAGINARY = Automaton.build(GAUSSIAN, AB, 2, {0: 1}, {0: gaussian(0, 1), 1: gaussian(0, -2)},
