@@ -17,18 +17,19 @@ exponent d on, and one that vanishes on d consecutive exponents >= d
 vanishes on all of them.  So the window of prefix lengths
 [|u| + d|v|, |u| + 2d|v|) decides one-sided words and the extents
 [d|l|, 2d|l|) x [d|r|, 2d|r|) around the center two-sided ones; a purely
-periodic word takes the one-sided window per rotation.  The same windows are
-exact over the naturals and the Booleans: a natural path sum is the rational
-path sum of the same automaton, and c -> [c != 0] is a semiring map from the
-naturals onto the Booleans, so a Boolean sum is non-zero exactly when the
-path count is.
+periodic word of least period p takes the extents [0, p) x [dp, 2dp), one
+per start phase.  The same windows are exact over the naturals and the
+Booleans: a natural path sum is the rational path sum of the same automaton,
+and c -> [c != 0] is a semiring map from the naturals onto the Booleans, so
+a Boolean sum is non-zero exactly when the path count is, and a natural
+decision walks the Boolean image of its automaton.
 
 A semiring that cancels but is not a field has no exact rule and raises
 :class:`UnsupportedExactDecision`.  ``horizon:K`` is an explicit
 approximation for differential testing: prefix lengths (K/2, K], extents
 [K/2, K].  Every rule makes one pass per start row and reports for each row
 the set of end columns it activates, by row walks only: on a two-sided
-word not read by its rotations each head of the row walks the right cycle
+word each head of the row walks the right cycle
 (over the Booleans and the naturals, the heads' one sum).  Rows are
 those of the lifted automaton: over the fields integer numerators over one
 denominator, and an end vector is one integer column per numerator of a
@@ -48,7 +49,7 @@ digits and traps any rounding.
 from __future__ import annotations
 
 import decimal
-from math import gcd, inf, prod
+from math import gcd, prod
 from operator import mul
 
 from ._record import Record
@@ -141,33 +142,22 @@ def _steps(aut, row, symbols):
     return row
 
 
-def _heads(aut, row, word, extents):
-    """The distinct non-zero heads row . M(l[-e:]) . M(m) of l^~w m r^w
-    for e in ``extents``, l[-e:] the e letters left of the center, lazily:
-    one walk along the left cycle per phase e mod |l|."""
-    ring, n, seen = aut.semiring, len(word.left), set()
-    for s in range(n):
-        current = _steps(aut, row, word.left[n - s:])
+def _heads(aut, row, left, center, extents):
+    """The distinct non-zero heads row . M(l[-e:]) . M(m) of l^~w m r^w,
+    l = ``left`` and m = ``center``, for e in ``extents``, l[-e:] the e
+    letters left of the center, lazily: one walk along the left cycle per
+    phase e mod |l| met by ``extents``."""
+    ring, n, seen = aut.semiring, len(left), set()
+    for s in range(min(n, extents.stop)):
+        current = _steps(aut, row, left[n - s:])
         for e in range(s, extents.stop, n):
             if e > s:
-                current = _steps(aut, current, word.left)
+                current = _steps(aut, current, left)
             if e >= extents.start:
-                head = _steps(aut, current, word.center)
+                head = _steps(aut, current, center)
                 if head not in seen and not all(map(ring.is_zero, head)):
                     seen.add(head)
                     yield head
-
-
-def _rotations(word: BiInfiniteWord) -> list:
-    """For a purely periodic biinfinite word, the one-sided word
-    (rotation of the period)^w from each window start modulo the period;
-    otherwise []. A period of the word is one of its left tail, so it
-    divides |l|."""
-    n = len(word.left)
-    period = next((p for p in range(1, n + 1)
-                   if n % p == 0 and words_equal(word, word.shift_by(p))), 0)
-    return [UPInfiniteWord(word.alphabet, (), tuple(word.char_at(r + k) for k in range(period)))
-            for r in range(period)]
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +168,17 @@ def _lift_between(aut, rows, cols) -> tuple:
     states on some path from the support of a row to that of a column, and
     lifted with its symbol scales; the rows cut to those states and cleared,
     and the columns as the parts of ``Semiring._clear_ends``, cleared with
-    them by the factor ``scale``.  Rows and columns come sparse, as dicts
-    from a state to its non-zero weight.  A state off every such path
-    carries no term of a row's sum with a column, so the sums are those of
-    the restriction."""
+    them by the factor ``scale``: per numerator, per column, a sparse lifted
+    column of (entry, non-zero weight) pairs.  Rows and columns come
+    sparse, as dicts from a state to its non-zero weight.  A state off every
+    such path carries no term of a row's sum with a column, so the sums are
+    those of the restriction."""
     sr = aut.semiring
     keep = _on_paths(aut.num_states, aut.edges(), set().union(*rows), set().union(*cols))
     lifted, scales = _restrict(aut, keep)._lifted()[:2]
     first, rows = sr._clear([[row.get(s, sr.zero) for s in keep] for row in rows])
-    last, ends = sr._clear_ends([[col.get(s, sr.zero) for s in keep] for col in cols])
+    last, parts = sr._clear_ends([[col.get(s, sr.zero) for s in keep] for col in cols])
+    ends = [[_sparse(lifted.semiring, col) for col in part] for part in parts]
     return len(keep), lifted, scales, first * last, rows, ends
 
 
@@ -198,23 +190,36 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
     decided.
 
     The walks run on the lifted restriction of :func:`_lift_between` to d
-    states, whose cycle matrices satisfy recurrences of order at most d.  A
-    row or end vector that is zero there is dead and never walked (with
-    d = 0, every one), and an end vector is live iff one of its integer
-    columns is.  A Q(i) state counts once in d although it lifts to two
-    integer entries: the complex sums satisfy a recurrence of order d, and
-    the two integers are only their coordinates.
+    states, whose cycle matrices satisfy recurrences of order at most d;
+    over the naturals on its Boolean image, which has the same zero sums
+    (c -> [c != 0] is a semiring map onto the Booleans).  A row or end
+    vector that is zero there is dead and never walked (with d = 0, every
+    one), and an end vector is live iff one of its integer columns is.  A
+    Q(i) state counts once in d although it lifts to two integer entries:
+    the complex sums satisfy a recurrence of order d, and the two integers
+    are only their coordinates.
 
-    Every word shape gives each row starts (ray, head) that :func:`_walk`
-    reads over one range [lo, hi): the row on a one-sided word or on each
-    rotation of a purely periodic one, else each distinct non-zero head
-    h_e = row . M(l[-e:]) . M(m) (:func:`_heads`) on r^w, for the window of
-    extents (e, g) sums to h_e . M(r[:g]) . col.  A row walks its starts on
-    the ends not live yet and stops once every end is.  A lifted ring with
-    no cancellation (the Booleans, the naturals) is zero-sum-free, a + b = 0
-    only for a = b = 0, so sum_e h_e . M(r[:g]) . col, which distributivity
-    makes (sum_e h_e) . M(r[:g]) . col, is non-zero iff some term is: one
-    walk of the summed distinct heads decides the row.
+    Every word shape gives each row heads that :func:`_walk` reads along
+    one ray over one range of lengths [lo, hi): the row on a one-sided
+    word, else each distinct non-zero head h_e = row . M(l[-e:]) . M(m)
+    (:func:`_heads`) on r^w, for the window of extents (e, g) sums to
+    h_e . M(r[:g]) . col.  A row walks its heads on the ends not live yet
+    and stops once every end is.  A walked ring with no cancellation (the
+    Booleans) is zero-sum-free, a + b = 0 only for a = b = 0, so
+    sum_e h_e . M(r[:g]) . col, which distributivity makes
+    (sum_e h_e) . M(r[:g]) . col, is non-zero iff some term is: one walk of
+    the summed distinct heads decides the row.
+
+    The window sums of a purely periodic word of least period p (a period
+    of both tails, so p divides |l| and |r|) depend only on the start phase
+    modulo p and the length n, so the word is read as its shift
+    v^~w . v^w, v = r[:p], and a pair is live iff for some phase the sums
+    are not eventually zero.  For a phase and a residue of n modulo p they
+    are x L^q c in q = n div p, L the product over one period: a recurrence
+    of order at most d, eventually zero iff it vanishes on d consecutive
+    q >= d (see the module notes).  So the extents e in [0, p), one head
+    per start phase -e, and g in [d p, 2 d p), which give every residue d
+    consecutive q >= d, decide every phase.
     """
     sr = aut.semiring
     bound = policy.horizon if policy.kind == "horizon" else None
@@ -233,35 +238,44 @@ def _decide(aut, word, policy, rows, cols) -> tuple:
             f"no exact activation decision for semiring {sr.name}: it cancels and "
             "is not a field; use --activation horizon:<K>")
     d, aut, _, _, cleared, parts = _lift_between(aut, rows, cols)  # zero tests ignore scales
+    if aut.semiring is NATURAL:  # decided on the supports, the image under c -> [c != 0]
+        aut = Automaton(BOOLEAN, aut.alphabet, d, (False,) * d, (False,) * d,
+                        {s: tuple(tuple((j, True) for j, _ in row) for row in rows)
+                         for s, rows in aut.transitions.items()})
+        cleared = [tuple(map(bool, row)) for row in cleared]
+        parts = [[[(j, True) for j, _ in col] for col in part] for part in parts]
     ring = aut.semiring
     walked = {r: row for r, row in enumerate(cleared) if not all(map(ring.is_zero, row))}
-    ends = {c: [_sparse(ring, col) for col in cols] for c, cols in enumerate(zip(*parts))}
-    ends = {c: cols for c, cols in ends.items() if any(cols)}
+    ends = {c: cols for c, cols in enumerate(zip(*parts)) if any(cols)}
 
     def heads(row):
         return [row]
     if isinstance(word, UPInfiniteWord):
-        rays = [word]
+        ray = word
         lo = bound // 2 + 1 if bound is not None else len(word.prefix) + d * len(word.cycle)
         hi = bound + 1 if bound is not None else lo + d * len(word.cycle)
-    elif bound is None and (rays := _rotations(word)):
-        lo, hi = d * len(rays), 2 * d * len(rays)  # the window [d p, 2 d p) of each rotation
     else:
-        rays = [UPInfiniteWord(word.alphabet, (), word.right)]
+        n = len(word.left)
+        p = bound is None and next((p for p in range(1, n + 1)
+                                    if n % p == 0 and words_equal(word, word.shift_by(p))), 0)
+        # a periodic word is read as its shift v^~w . v^w, v = r[:p]: the same window sums
+        cycle, center = (word.right[:p], ()) if p else (word.left, word.center)
+        ray = UPInfiniteWord(word.alphabet, (), word.right)
         left, right = ([range(max(1, bound // 2), bound + 1)] * 2 if bound is not None else
+                       [range(p), range(d * p, 2 * d * p)] if p else
                        [range(d * len(side), 2 * d * len(side)) for side in (word.left, word.right)])
         lo, hi = right.start, right.stop
 
         def heads(row):
-            found = _heads(aut, row, word, left)
+            found = _heads(aut, row, cycle, center, left)
             if ring.has_cancellation:
                 return found
-            total = tuple(map(ring.sum, zip(*found)))  # () when there is no head
-            return [total] if total else []
+            found = list(found)
+            return found if len(found) < 2 else [tuple(map(ring.sum, zip(*found)))]
     live = [set() for _ in rows]
     for r, row in walked.items():
         pending = dict(ends)
-        for ray, head in ((ray, head) for head in heads(row) for ray in rays):
+        for head in heads(row):
             _walk(aut, ray, head, pending, lo, hi)
             if not pending:
                 break
@@ -303,13 +317,14 @@ def activates_bidiverging(aut: Automaton, word: BiInfiniteWord, i: int, f: int,
 class _MaskedBehavior:
     """Masked evaluation shared by the one- and two-sided contexts.
 
-    Activation verdicts are decided once and reused for every window.  The
+    Activation verdicts are decided once (``verdict``) and reused.  The
     values are those of the automaton restricted by :func:`_lift_between`
     to the states on some path from a live initial state to a live final
     one: a masked value sums only paths between a live pair, and every
     state of such a path is kept.
-    Initial states with the same live finals share one row, started from
-    their weighted sum.  No full matrix product is ever formed.
+    Initial states with the same live finals, grouped in one pass, share
+    one row, started from their weighted sum; its end is a sparse lifted
+    column per numerator.  No full matrix product is ever formed.
 
     Each window start has a :class:`_Window`.  The word read from it is
     u' v'^w, m = |u'|, p = |v'|, and x_q, the rows of all groups stacked at
@@ -346,25 +361,16 @@ class _MaskedBehavior:
         self.automaton = aut
         self.word = word
         self.policy = policy
-        self._verdict = activation_verdicts(aut, word, policy)
-        live_finals = {}
-        for (i, f), live in self._verdict.pairs.items():
-            if live:
-                live_finals.setdefault(i, []).append(f)
-        groups = {}  # live finals -> the initial states that reach exactly them
-        for i, ends in live_finals.items():
-            groups.setdefault(tuple(ends), []).append(i)
-        _, self._lift, self._scales, self._scale, self._starts, parts = _lift_between(
+        self.verdict = activation_verdicts(aut, word, policy)
+        groups, finals = {}, aut.final_states()  # live finals -> the initial states reaching them
+        for i in aut.initial_states():
+            if ends := tuple(f for f in finals if self.verdict.pairs[i, f]):
+                groups.setdefault(ends, []).append(i)
+        # self._ends: per numerator, per group, a sparse column
+        _, self._lift, self._scales, self._scale, self._starts, self._ends = _lift_between(
             aut, [{s: aut.initial[s] for s in starts} for starts in groups.values()],
             [{s: aut.final[s] for s in ends} for ends in groups])
-        ring = self._lift.semiring
-        self._ends = [[_sparse(ring, col) for col in part]
-                      for part in parts]  # per numerator, per group: a sparse column
         self._windows, self._texts = {}, {}  # window start -> _Window
-
-    @property
-    def verdict(self) -> ActivationVerdict:
-        return self._verdict
 
     def _value(self, start: int, n: int, text: bool = False):
         if n < 0:
@@ -382,9 +388,9 @@ class _MaskedBehavior:
 
 class _Window:
     """The values of one window start, or for the text read their text (see
-    :class:`_MaskedBehavior`).  Once the recurrence is known, a read more
-    than the kept lengths (and a period) ahead jumps by whole periods and
-    steps the fewer than p lengths left; reads in order only step."""
+    :class:`_MaskedBehavior`).  Once its rows are dropped, a read more than
+    max(kept lengths, p) ahead jumps by whole periods and steps the fewer
+    than p lengths left; reads in order only step."""
 
     def __init__(self, behavior: _MaskedBehavior, start: int, text: bool):
         self._behavior, self._start, self._values = behavior, start, {}
@@ -402,10 +408,8 @@ class _Window:
     def _restart(self):
         behavior = self._behavior
         self._rows, self._position, self._scale = behavior._starts, 0, behavior._scale
-        self._reach = inf  # a read further ahead jumps
         self._kept = []  # (numerators, scale) of the lengths up to the position
-        # reduced stacks by pivot (or stacks seen), stacks waiting, unspent row steps
-        self._search, self._stacks, self._credit = {}, [], 0
+        self._search, self._stacks = {}, []  # reduced stacks by pivot (or stacks seen), waiting
         self._record()
 
     def at(self, n: int):
@@ -414,7 +418,7 @@ class _Window:
         if n <= self._position - len(self._kept):
             self._restart()
         while self._position < n:
-            if n - self._position > self._reach:
+            if self._rows is None and n - self._position > max(len(self._kept), self._period):
                 self._jump((n - self._position) // self._period)
             else:
                 self._step()
@@ -438,7 +442,6 @@ class _Window:
             del kept[0]
         else:
             self._rows = [advance_row(behavior._lift, row, symbol) for row in self._rows]
-            self._credit += len(self._rows)
             self._record()
 
     def _jump(self, periods: int):
@@ -481,7 +484,7 @@ class _Window:
         if found:
             lag, self._chi = found
             del self._kept[:-max(lag, 1)]
-            self._reach, self._taps = max(lag, self._period), self._chi  # taps: of a step
+            self._taps = self._chi  # of a step
             if self._decimal:
                 self._kept = [([_EXACT.create_decimal(t) for t in numerators], scale)
                               for numerators, scale in self._kept]
@@ -499,9 +502,10 @@ class _Window:
         lemma mu has integer coefficients; being monic it is primitive, and
         the content-free dependency is +-mu.  So chi_j = -c_k c_j, and no
         step divides."""
-        while self._stacks and self._credit >= 2 * len(self._search):
-            q, vector = len(self._search), self._stacks.pop(0)
-            self._credit -= 2 * q
+        # paced: applying vectors 0 .. q costs 2 (0 + .. + q) = q (q + 1) of the row steps made
+        while self._stacks and (q := len(self._search)) * (q + 1) <= \
+                self._position * len(self._rows):
+            vector = self._stacks.pop(0)
             vector[-1 - q] = 1  # key -1 - j holds c_j, for vector = sum_j c_j x_j
             previous = 1  # Bareiss: each step divides exactly by the pivot before
             for pivot, base in self._search.items():

@@ -62,6 +62,18 @@ def bi_word(left, center, right, alphabet=AB):
     return BiInfiniteWord(alphabet, tuple(left), tuple(center), tuple(right))
 
 
+def least_period(word: BiInfiniteWord) -> int:
+    """The least period of a purely periodic biinfinite word, else 0.  Such
+    a period divides |l|, and p is a period iff the letters p apart agree
+    over two left periods before the center, the center and one right
+    period after it (every pair of positions p apart is one of those up to
+    the periods of l and r)."""
+    n = len(word.left)
+    span = range(word.origin - 2 * n, word.origin + len(word.center) + len(word.right))
+    return next((p for p in range(1, n + 1)
+                 if all(word.char_at(i) == word.char_at(i + p) for i in span)), 0)
+
+
 def dense(aut: Automaton, symbol):
     """Dense matrix of one symbol, filled from ``aut.edges()`` alone, so the
     oracles below never call the evaluation code they check."""
@@ -143,6 +155,17 @@ def as_boolean(aut):
     return Automaton.build(BOOLEAN, aut.alphabet, aut.num_states,
                            [bool(w) for w in aut.initial], [bool(w) for w in aut.final],
                            [(i, j, s, bool(w)) for i, j, s, w in aut.edges()])
+
+
+def with_dead_ends(aut):
+    """``aut`` with two more states off every path from a start to an end: an
+    initial state reached from state 0 that reaches no final state, and a
+    final state that reaches state 0 and is never reached."""
+    sr, n = aut.semiring, aut.num_states
+    edges = list(aut.edges()) + [(0, n, "a", sr.one), (n, n, "b", sr.one),
+                                 (n + 1, 0, "b", sr.one)]
+    return Automaton.build(sr, aut.alphabet, n + 2, list(aut.initial) + [sr.one, sr.zero],
+                           list(aut.final) + [sr.zero, sr.one], edges)
 
 
 def random_finite_word(rng, max_len=8, alphabet=AB):

@@ -33,12 +33,14 @@ from conftest import (
     bi_word,
     dense,
     finite,
+    least_period,
     random_gaussian_automaton,
     random_natural_automaton,
     random_rational_automaton,
     random_bi_word,
     random_up_word,
     up_word,
+    with_dead_ends,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -78,17 +80,6 @@ def test_cancellation_gadget_not_activated():
             Automaton.build(RATIONAL, AB, 4, {0: 1}, {route_end: 1},
                             list(gadget.edges())),
             finite("a" * n)) != 0 for n in range(1, 5))
-
-
-def with_dead_ends(aut):
-    """``aut`` with two more states off every path from a start to an end: an
-    initial state reached from state 0 that reaches no final state, and a
-    final state that reaches state 0 and is never reached."""
-    sr, n = aut.semiring, aut.num_states
-    edges = list(aut.edges()) + [(0, n, "a", sr.one), (n, n, "b", sr.one),
-                                 (n + 1, 0, "b", sr.one)]
-    return Automaton.build(sr, aut.alphabet, n + 2, list(aut.initial) + [sr.one, sr.zero],
-                           list(aut.final) + [sr.zero, sr.one], edges)
 
 
 def test_lrs_window_bound_against_horizon_scan():
@@ -320,7 +311,7 @@ def dense_heads_times_tails(aut, word, policy):
 def test_two_sided_verdicts_match_dense_heads_times_tails(make):
     """The row walks of the heads along the right cycle give the verdicts
     of every head against every tail, on non-periodic and purely periodic
-    words (where ``auto`` reads the rotations), exactly and under
+    words (where ``auto`` reads one head per phase), exactly and under
     horizon:K; every third automaton carries dead ends."""
     rng = random.Random(47)
     shapes = set()
@@ -336,7 +327,7 @@ def test_two_sided_verdicts_match_dense_heads_times_tails(make):
         for policy in (AUTO, horizon(rng.randint(2, 9))):
             verdict = activation_verdicts(aut, word, policy).pairs
             assert verdict == dense_heads_times_tails(aut, word, policy), (k, word, policy)
-            shapes.add((bool(activation._rotations(word)), any(verdict.values())))
+            shapes.add((bool(least_period(word)), any(verdict.values())))
     assert shapes == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -792,6 +783,49 @@ def test_far_reads_jump_to_the_values_read_in_order(make, seed, padded, two_side
             assert [at(start, n) for n in far] == [table[n] for n in far]
             assert [behavior._text(start, n) for n in far] == [sr.format(table[n]) for n in far]
     assert jumps
+
+
+@pytest.mark.parametrize("make", [random_natural_automaton, random_rational_automaton,
+                                  random_gaussian_automaton, random_boolean_automaton],
+                         ids=["natural", "rational", "gaussian", "boolean"])
+def test_the_jump_reach_is_the_kept_span_or_a_period(make):
+    """Once a window has dropped its rows it reaches max(kept span, p): a
+    read exactly that many lengths ahead steps there, and a read one length
+    further jumps once.  Both read the dense walk's value.  In every
+    semiring a two-cycle on ( a )^w keeps two lengths, more than its
+    period, and a dead pair on ( a b )^w keeps one, less than its period
+    (over the Booleans, whose repeat has a lag of at least a period, two)."""
+    rng = random.Random(2605)
+    sr = make(rng).semiring
+    cases = [(Automaton.build(sr, AB, 2, {0: sr.one}, {0: sr.one},
+                              [(0, 1, "a", sr.one), (1, 0, "a", sr.one)]), up_word([], "a"), 0),
+             (Automaton.build(sr, AB, 1, {0: sr.one}, {0: sr.one}), up_word([], "ab"), 0)]
+    while len(cases) < 10:
+        aut = make(rng, max_states=4, density=0.6)
+        word, start = ((random_bi_word(rng), rng.randint(-3, 3)) if len(cases) % 2 else
+                       (random_up_word(rng), 0))
+        if any(masked_at(aut, word)[0].verdict.pairs.values()):
+            cases.append((aut, word, start))
+    jumps, jump, spans = [], activation._Window._jump, []
+
+    def counted(window, periods):
+        jumps.append(periods)
+        jump(window, periods)
+    for aut, word, start in cases:
+        for ahead in (0, 1):
+            behavior, at = masked_at(aut, word)
+            at(start, 0)
+            window = behavior._windows[start]
+            while window._rows is not None:
+                at(start, window._position + 1)
+            spans.append((len(window._kept), window._period))
+            n = window._position + max(len(window._kept), window._period) + ahead
+            live = [pair for pair, ok in behavior.verdict.pairs.items() if ok]
+            jumps.clear()
+            with mock.patch.object(activation._Window, "_jump", counted):
+                assert at(start, n) == walked_table(aut, word, live, start, n + 1)[n]
+            assert len(jumps) == ahead
+    assert spans[:4] == [(2, 1)] * 2 + [(2 if sr is BOOLEAN else 1, 2)] * 2
 
 
 def test_a_far_read_steps_the_recurrence_a_bounded_number_of_times():

@@ -31,6 +31,7 @@ from conftest import (
     AB,
     bi_word,
     enumerate_path_weight,
+    least_period,
     random_finite_word,
     random_gaussian,
     random_gaussian_automaton,
@@ -39,6 +40,7 @@ from conftest import (
     random_bi_word,
     random_up_word,
     up_word,
+    with_dead_ends,
 )
 
 MERSENNE = 2 ** 61 - 1
@@ -117,10 +119,13 @@ def reference_live(aut, word, policy, start):
         lo = bound // 2 + 1 if bound else len(word.prefix) + d * len(word.cycle)
         hi = bound + 1 if bound else lo + d * len(word.cycle)
         return one_sided_live(aut, word, start, lo, hi)
-    rays = [] if bound else activation._rotations(word)
-    if rays:
-        lo = d * len(rays)
-        return set().union(*(one_sided_live(aut, ray, start, lo, 2 * lo) for ray in rays))
+    period = 0 if bound else least_period(word)
+    if period:  # the one-sided window [d p, 2 d p) on each rotation of the period
+        rotations = [UPInfiniteWord(word.alphabet, (),
+                                    tuple(word.char_at(r + k) for k in range(period)))
+                     for r in range(period)]
+        return set().union(*(one_sided_live(aut, ray, start, d * period, 2 * d * period)
+                             for ray in rotations))
     left, right = word.left, word.right
     lefts = range(max(1, bound // 2), bound + 1) if bound else \
         range(d * len(left), 2 * d * len(left))
@@ -347,7 +352,7 @@ def test_a_start_off_every_path_steps_no_head(row_counter):
     core = [(0, 0, "a", Fraction(1, 2)), (0, 0, "b", Fraction(2)),
             (0, 1, "b", Fraction(-1)), (1, 1, "a", Fraction(3))]
     word = bi_word("ab", "b", "a")
-    assert activation._rotations(word) == []
+    assert least_period(word) == 0
     live = Automaton.build(RATIONAL, AB, 2, {0: 1}, {1: 1}, core)
     assert activation_verdicts(live, word).pairs == {(0, 1): True}
     steps = len(row_counter)
@@ -381,7 +386,7 @@ def test_two_sided_walks_each_head_along_the_right_cycle(row_counter, sr):
     row is live at length 3, so a field decision steps its heads only up
     to e = 3 and walks 3 steps, and a sum still steps every head."""
     word = bi_word("a", "", "b")
-    assert activation._rotations(word) == []
+    assert least_period(word) == 0
     summed = not sr.has_cancellation
     dead = activation_verdicts(a_then_b_automaton(sr, live=False), word)
     assert dead.pairs == {(0, 2): False, (1, 2): False}
@@ -390,6 +395,86 @@ def test_two_sided_walks_each_head_along_the_right_cycle(row_counter, sr):
     live = activation_verdicts(a_then_b_automaton(sr, live=True), word)
     assert live.pairs == {(0, 2): True, (1, 2): True}
     assert len(row_counter) == 2 * ((5 if summed else 3) + 3)
+
+
+def phase_automaton(sr, via, twin, weight):
+    """Start 0 with loops a (2) and b (3), end 3 with loops a and b (1), and
+    0 -a-> 1 (1), 0 -a-> 2 (``twin``), 1 -``via``-> 3 (``weight``),
+    2 -``via``-> 3 (1): all four states lie on a path from 0 to 3.  With
+    twin = -1 and weight = 1 the two routes into 3 cancel."""
+    w = (lambda x: x != 0) if sr is BOOLEAN else (lambda x: x)
+    edges = [(0, 0, "a", 2), (0, 0, "b", 3), (0, 1, "a", 1), (0, 2, "a", twin),
+             (1, 3, via, weight), (2, 3, via, 1), (3, 3, "a", 1), (3, 3, "b", 1)]
+    return Automaton.build(sr, AB, 4, {0: w(1)}, {3: w(1)},
+                           [(i, j, s, w(x)) for i, j, s, x in edges])
+
+
+@pytest.mark.parametrize("word", [bi_word("ab", "", "ab"),
+                                  bi_word("abab", "aba", "ba").shift_by(3)],
+                         ids=["bare", "centered"])
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda sr: sr.name)
+def test_a_periodic_word_walks_one_head_per_phase(row_counter, sr, word):
+    """A purely periodic word of least period p = 2 is read as its shift
+    v^~w . v^w, v = r[:p], whatever its center and origin.  With d = 4 a
+    start row steps one head per start phase, e in [0, p), which costs
+    p (p - 1) / 2 steps, and walks heads along the right cycle over the
+    lengths [d p, 2 d p).  Dead: over the Booleans and the naturals the
+    heads are summed and walked once (2 d p - 1 steps), over a field each
+    of the p distinct heads walks.  Live: a field decision walks its first
+    head d p steps and steps no other, a sum still steps every head.  The
+    naturals are walked on Boolean rows."""
+    p, d = 2, 4
+    assert least_period(word) == p and len(word.left) % p == 0
+    heads = p * (p - 1) // 2
+    summed = not sr.has_cancellation
+    walked = BOOLEAN if summed else sr._integers
+    dead = phase_automaton(sr, *(("a", 1, 1) if summed else ("b", -1, 1)))
+    verdict = activation_verdicts(dead, word)
+    assert verdict.pairs == {(0, 3): False}
+    assert verdict.pairs == reference_pairs(dead, word, AUTO)
+    assert len(row_counter) == heads + (1 if summed else p) * (2 * d * p - 1)
+    assert all(aut.semiring is walked and aut.num_states == (2 if sr is GAUSSIAN else 1) * d
+               for aut in row_counter)
+    row_counter.clear()
+    live = phase_automaton(sr, "b", *((1, 1) if summed else (-1, 2)))
+    verdict = activation_verdicts(live, word)
+    assert verdict.pairs == {(0, 3): True}
+    assert verdict.pairs == reference_pairs(live, word, AUTO)
+    method = {BOOLEAN: "ExactBooleanReach", NATURAL: "ExactNaturalReduction"}
+    assert verdict.method == method.get(sr, "ExactFieldLRS")
+    assert len(row_counter) == (heads if summed else 0) + d * p
+    assert all(aut.semiring is walked for aut in row_counter)
+
+
+def random_periodic_word(rng):
+    """A purely periodic l^~w m r^w: l is k copies of a cycle c, m a prefix
+    of c^3, r the rotation of c that follows m, and the origin shifted."""
+    cycle = [rng.choice("ab") for _ in range(rng.randint(1, 3))]
+    j = rng.randint(0, 2 * len(cycle))
+    rotated = cycle[j % len(cycle):] + cycle[:j % len(cycle)]
+    return bi_word(cycle * rng.randint(1, 3), (cycle * 3)[:j],
+                   rotated * rng.randint(1, 2)).shift_by(rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda sr: sr.name)
+def test_periodic_verdicts_match_the_rotation_reference(sr):
+    """512 decisions per semiring, half of them on automata padded with dead
+    ends: on purely periodic words the heads route gives the verdicts of
+    the one-sided window [d p, 2 d p) on each rotation of the period
+    (``reference_live``), and under horizon:K those of every extent pair."""
+    rng = random.Random(2026)
+    shapes = set()
+    for k in range(256):
+        aut = random_automaton(rng, sr)
+        if k % 2:
+            aut = with_dead_ends(aut)
+        word = random_periodic_word(rng)
+        assert least_period(word)
+        for policy in (AUTO, horizon(rng.randint(2, 12))):
+            verdict = activation_verdicts(aut, word, policy).pairs
+            assert verdict == reference_pairs(aut, word, policy), (k, word, policy)
+            shapes.add((policy.kind, any(verdict.values())))
+    assert len(shapes) == 4
 
 
 # state 0 is initial, its loops on a and b weigh 1 and its final weight is i:
