@@ -40,11 +40,11 @@ Zero tests never reduce.  The masked evaluator steps rows only until they
 are dependent (or repeat) at the cycle's phase points, then steps the
 monic integer recurrence of the value numerators, or jumps along it to a
 far length (x^m modulo its characteristic polynomial), and reduces only the
-values asked for.  Its text read steps the recurrence of a natural table in
-decimal integers, which are written in time linear in their digits.  They
-hold the same values: the recurrence is monic, so no step divides, and
-every conversion and step runs in :data:`_EXACT`, which holds any number of
-digits and traps any rounding.
+values asked for.  A value and a text read share a window, but a natural
+text read steps the recurrence in decimal integers, which are written in
+time linear in their digits.  They hold the same values: the recurrence is
+monic, so no step divides, and every conversion and step runs in
+:data:`_EXACT`, which holds any number of digits and traps any rounding.
 """
 from __future__ import annotations
 
@@ -73,6 +73,12 @@ class ActivationPolicy(Record):
     kind: str  # "auto" | "horizon"
     horizon: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("auto", "horizon"):
+            raise ValueError(f"bad activation policy kind {self.kind!r}")
+        if self.kind == "horizon" and self.horizon < 2:
+            raise ValueError("horizon bound must be at least 2")
+
     @classmethod
     def parse(cls, text: str) -> "ActivationPolicy":
         if text in ("auto", "exact"):
@@ -83,8 +89,6 @@ class ActivationPolicy(Record):
             bound = int(text[len("horizon:"):])
         except ValueError:
             raise ValueError(f"bad activation policy {text!r}") from None
-        if bound < 2:
-            raise ValueError("horizon bound must be at least 2")
         return cls("horizon", bound)
 
 
@@ -292,6 +296,9 @@ def activation_verdicts(aut: Automaton, word, policy: ActivationPolicy = AUTO,
     if pairs is None:
         pairs = [(i, f) for i in aut.initial_states() for f in aut.final_states()]
     pairs = list(pairs)
+    for state in (s for pair in pairs for s in pair):
+        if state not in range(aut.num_states):
+            raise ValueError(f"state {state!r} outside state range")
     starts = list(dict.fromkeys(i for i, _ in pairs))
     ends = list(dict.fromkeys(f for _, f in pairs))
     one = aut.semiring.one
@@ -341,20 +348,21 @@ class _MaskedBehavior:
     the first repeat x_k = x_j gives t(n) = t(n - (k - j) p).  Then the
     rows are dropped and the window steps the numerators of its last k p
     (or (k - j) p) lengths, each kept with its own scale, or jumps along the
-    recurrence to a far length (:meth:`_Window._jump`).  Returned values are
-    cached, only the values asked for are reduced, and a length below what
-    is kept starts the window again.
+    recurrence to a far length (:meth:`_Window._jump`).  A read is the
+    numerators and the scale of one length (:meth:`_read`), which
+    :meth:`_value` reduces and :meth:`_text` writes with ``Semiring._text``;
+    nothing is cached, and a length below what is kept starts the window
+    again.
 
-    The text read :meth:`_text` has windows of its own.  Over the naturals
-    a text window turns its kept numerators into decimal integers when it
-    switches to the recurrence, and steps (or jumps) there: ``str`` of a
+    Windows are keyed by start and carrier: a value and a text read of one
+    start share a window, but over the naturals the text read has a decimal
+    one, which turns its kept numerators into decimal integers when it
+    switches to the recurrence and steps (or jumps) there: ``str`` of a
     Python int is quadratic in its digits, of a decimal linear.  The values
     stay the same integers.  The switch converts each kept integer exactly,
     and each step or jump is integer multiply-adds, with no division; all of
     it runs in :data:`_EXACT`, which holds any number of digits and traps
-    any rounding.  Every text is written by ``Semiring._text`` from the
-    numerators and the scale.  Texts are not cached: a table reads each
-    once.
+    any rounding.
     """
 
     def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
@@ -370,32 +378,33 @@ class _MaskedBehavior:
         _, self._lift, self._scales, self._scale, self._starts, self._ends = _lift_between(
             aut, [{s: aut.initial[s] for s in starts} for starts in groups.values()],
             [{s: aut.final[s] for s in ends} for ends in groups])
-        self._windows, self._texts = {}, {}  # window start -> _Window
+        self._windows = {}  # (window start, decimal carrier) -> _Window
 
-    def _value(self, start: int, n: int, text: bool = False):
+    def _read(self, start: int, n: int, decimal: bool = False):
+        """(numerators, scale) of the value at (start, n)."""
         if n < 0:
             raise IndexError("window length must be a natural number")
-        windows = self._texts if text else self._windows
-        window = windows.get(start)
+        window = self._windows.get((start, decimal))
         if window is None:
-            window = windows[start] = _Window(self, start, text)
+            window = self._windows[start, decimal] = _Window(self, start, decimal)
         return window.at(n)
+
+    def _value(self, start: int, n: int):
+        return self.automaton.semiring._reduce(*self._read(start, n))
 
     def _text(self, start: int, n: int) -> str:
         """The value at (start, n), formatted."""
-        return self._value(start, n, True)
+        return self.automaton.semiring._text(*self._read(start, n, self._lift.semiring is NATURAL))
 
 
 class _Window:
-    """The values of one window start, or for the text read their text (see
+    """The (numerators, scale) of each length from one window start (see
     :class:`_MaskedBehavior`).  Once its rows are dropped, a read more than
     max(kept lengths, p) ahead jumps by whole periods and steps the fewer
     than p lengths left; reads in order only step."""
 
-    def __init__(self, behavior: _MaskedBehavior, start: int, text: bool):
-        self._behavior, self._start, self._values = behavior, start, {}
-        self._text = text
-        self._decimal = text and behavior._lift.semiring is NATURAL
+    def __init__(self, behavior: _MaskedBehavior, start: int, decimal: bool):
+        self._behavior, self._start, self._decimal = behavior, start, decimal
         self._combine = _decimal_combination if self._decimal else _integer_combination
         word = behavior.word  # from the start on: m letters, then a cycle of p
         bi = isinstance(word, BiInfiniteWord)
@@ -413,8 +422,6 @@ class _Window:
         self._record()
 
     def at(self, n: int):
-        if n in self._values:
-            return self._values[n]
         if n <= self._position - len(self._kept):
             self._restart()
         while self._position < n:
@@ -422,12 +429,7 @@ class _Window:
                 self._jump((n - self._position) // self._period)
             else:
                 self._step()
-        numerators, scale = self._kept[n - self._position - 1]
-        sr = self._behavior.automaton.semiring
-        if self._text:
-            return sr._text(numerators, scale)
-        value = self._values[n] = sr._reduce(numerators, scale)
-        return value
+        return self._kept[n - self._position - 1]
 
     def _step(self):
         behavior = self._behavior

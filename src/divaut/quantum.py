@@ -205,7 +205,9 @@ class ExpectedValue(Record):
         return self.numerator.at(n) / den
 
     def row(self, n: int):
-        return (self.numerator.at(n), self.denominator.at(n), self.ratio_at(n))
+        """(numerator, denominator, ratio) at n, each sequence read once."""
+        numerator, denominator = self.numerator.at(n), self.denominator.at(n)
+        return numerator, denominator, numerator / denominator if denominator else None
 
 
 def expected_value(state: Automaton, operator: Automaton,

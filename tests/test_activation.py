@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 from decimal import Decimal, getcontext, localcontext
@@ -549,6 +550,7 @@ def test_policy_parsing():
     assert ActivationPolicy.parse("auto") is AUTO
     assert ActivationPolicy.parse("exact") is EXACT
     assert ActivationPolicy.parse("horizon:64").horizon == 64
+    assert horizon(2) == ActivationPolicy.parse("horizon:2") == ActivationPolicy("horizon", 2)
     with pytest.raises(ValueError):
         ActivationPolicy.parse("horizon:1")
     with pytest.raises(ValueError):
@@ -565,6 +567,42 @@ def test_policy_with_a_bad_bound_names_the_policy(text):
     with pytest.raises(ValueError) as err:
         ActivationPolicy.parse(text)
     assert str(err.value) == f"bad activation policy {text!r}"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: horizon(0), "horizon bound must be at least 2"),
+    (lambda: horizon(-3), "horizon bound must be at least 2"),
+    (lambda: horizon(1), "horizon bound must be at least 2"),
+    (lambda: ActivationPolicy("horizon"), "horizon bound must be at least 2"),
+    (lambda: ActivationPolicy("horizon", horizon=1), "horizon bound must be at least 2"),
+    (lambda: ActivationPolicy("bogus"), "bad activation policy kind 'bogus'"),
+    (lambda: ActivationPolicy("exact"), "bad activation policy kind 'exact'"),
+], ids=["horizon0", "horizon-3", "horizon1", "default-bound", "keyword-bound", "bogus", "exact"])
+def test_a_bad_policy_is_refused_however_it_is_built(build, message):
+    """parse, horizon() and direct construction share one check: the kind
+    is auto or horizon, and a horizon bound is at least 2."""
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("state", [-1, -4, 3, 99])
+def test_a_state_outside_the_automaton_is_refused(state):
+    """A requested state outside range(num_states) raises a ValueError
+    that names it, on either word shape and through every entry point."""
+    aut = parse_automaton((FIXTURES / "doubling.aut").read_text())
+    assert aut.num_states == 3
+    message = f"state {state} outside state range"
+    for word, decide in ((up_word([], "ab"), activates_diverging),
+                         (bi_word("ab", "", "ab"), activates_bidiverging)):
+        for pair in ((0, state), (state, 2)):
+            for policy in (AUTO, horizon(8)):
+                with pytest.raises(ValueError) as err:
+                    activation_verdicts(aut, word, policy, pairs=[(0, 2), pair])
+                assert str(err.value) == message
+                with pytest.raises(ValueError) as err:
+                    decide(aut, word, *pair, policy)
+                assert str(err.value) == message
 
 
 def test_bidiverging_one_shot(figure_two):
@@ -699,7 +737,7 @@ def test_tables_read_from_the_recurrence_match_dense_walks(make):
                 tail = slice_word(word, start, None)
                 m, p = len(tail.prefix), len(tail.cycle)
                 table = [at(start, 0)]
-                while behavior._windows[start]._rows is not None:  # stepping rows
+                while behavior._windows[start, False]._rows is not None:  # stepping rows
                     table.append(at(start, len(table)))
                 switch = len(table) - 1  # a phase point, m + k p or later
                 assert switch >= m and (switch - m) % p == 0
@@ -736,13 +774,13 @@ def test_text_read_is_the_formatted_value(make, seed, padded, two_sided):
         m, p = len(tail.prefix), len(tail.cycle)
         at(start, 0)
         switch = 0
-        while behavior._windows[start]._rows is not None:
+        while behavior._windows[start, False]._rows is not None:
             switch += 1
             at(start, switch)
         count = switch + 2 * (switch - m) + 3 * p + 1
         expected = [sr.format(at(start, n)) for n in range(count)]
         assert [behavior._text(start, n) for n in range(count)] == expected
-        window = behavior._texts[start]
+        window = behavior._windows[start, sr is NATURAL]
         assert window._rows is None
         assert isinstance(window._kept[-1][0][0], Decimal) == (sr is NATURAL)
         shuffled = rng.sample(range(count), min(count, 30)) * 2
@@ -785,6 +823,56 @@ def test_far_reads_jump_to_the_values_read_in_order(make, seed, padded, two_side
     assert jumps
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([random_natural_automaton, random_rational_automaton,
+                        random_gaussian_automaton, random_boolean_automaton]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_value_and_text_reads_share_one_window_per_start(make, seed, padded, two_sided):
+    """One behavior answers value and text reads interleaved: in order,
+    shuffled with repeats, below the kept span (a restart) and far ahead
+    (a jump).  Each value is the dense walk's and each text is its format.
+    Both reads step one window per start, except over the naturals, where
+    the text read keeps a second on the decimal carrier."""
+    rng = random.Random(seed)
+    aut = make(rng, max_states=4, density=0.6)
+    if padded:
+        aut = with_dead_ends(aut)
+    word = random_bi_word(rng) if two_sided else random_up_word(rng)
+    sr, count = aut.semiring, 160
+    behavior, at = masked_at(aut, word)
+    live = [pair for pair, ok in behavior.verdict.pairs.items() if ok]
+    starts = (-3, 1) if two_sided else (0,)
+    for start in starts:
+        table = walked_table(aut, word, live, start, count)
+        shuffled = rng.sample(range(count // 2), 20) * 2
+        rng.shuffle(shuffled)
+        far = sorted(rng.sample(range(count // 2, count), 4))
+        for n in [*range(count // 2), *shuffled, 0, 1, *far]:
+            reads = [lambda: at(start, n) == table[n],
+                     lambda: behavior._text(start, n) == sr.format(table[n])]
+            rng.shuffle(reads)
+            assert all(read() for read in reads), (start, n)
+    carriers = {False, sr is NATURAL}
+    assert sorted(behavior._windows) == sorted((start, c) for start in starts for c in carriers)
+
+
+def test_a_long_read_keeps_no_value_alive():
+    """A window keeps the numerators of its last few lengths, not the
+    values it has read: after reading 2^n on ( a b )^w to n = 4,000 and
+    dropping the values, less than 64 KiB stays allocated."""
+    aut = parse_automaton((FIXTURES / "doubling.aut").read_text())
+    behavior = DivergingBehavior(aut, up_word([], "ab"))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for n in range(4001):
+            behavior.at(n)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 @pytest.mark.parametrize("make", [random_natural_automaton, random_rational_automaton,
                                   random_gaussian_automaton, random_boolean_automaton],
                          ids=["natural", "rational", "gaussian", "boolean"])
@@ -815,7 +903,7 @@ def test_the_jump_reach_is_the_kept_span_or_a_period(make):
         for ahead in (0, 1):
             behavior, at = masked_at(aut, word)
             at(start, 0)
-            window = behavior._windows[start]
+            window = behavior._windows[start, False]
             while window._rows is not None:
                 at(start, window._position + 1)
             spans.append((len(window._kept), window._period))

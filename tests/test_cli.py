@@ -650,6 +650,13 @@ def test_bad_horizon_bound_names_the_policy(capsys, flag):
     assert (code, out, err) == (1, "", "error: bad activation policy 'horizon:abc'\n")
 
 
+@pytest.mark.parametrize("flag", ["--activation", "--chi"])
+def test_a_horizon_bound_below_two_exits_1(capsys, flag):
+    code, out, err = run(capsys, flag, "horizon:1", "eval",
+                         str(FIXTURES / "doubling.aut"), "--word", "a b")
+    assert (code, out, err) == (1, "", "error: horizon bound must be at least 2\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["--n", "-1"], "--n"),
     (["--n", "3", "--rate-at", "0"], "--rate-at"),
