@@ -76,6 +76,8 @@ class ActivationPolicy(Record):
     def __post_init__(self):
         if self.kind not in ("auto", "horizon"):
             raise ValueError(f"bad activation policy kind {self.kind!r}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, int):
+            raise ValueError(f"horizon bound must be an int, got {self.horizon!r}")
         if self.kind == "horizon" and self.horizon < 2:
             raise ValueError("horizon bound must be at least 2")
 

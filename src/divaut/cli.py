@@ -376,16 +376,19 @@ def _parse_hs_terms(text: str):
 def _print_expect_table(ev, n_max: int, rate_at):
     from .semiring import GAUSSIAN
 
-    rows = []
+    rows, ratios = [], []
     for n in range(n_max + 1):
         numerator, denominator, ratio = ev.row(n)
+        ratios.append(ratio)
         rows.append((str(n), GAUSSIAN.format(numerator),
                      GAUSSIAN.format(denominator),
                      "undef" if ratio is None else GAUSSIAN.format(ratio)))
     _print_rows(rows)
     if rate_at is not None:
-        ratio_prev = ev.ratio_at(rate_at - 1)
-        ratio_here = ev.ratio_at(rate_at)
+        # a probe inside the table takes its ratios from the rows: the
+        # sequences read forward, and a read below their kept span restarts
+        ratio_prev, ratio_here = (ratios[rate_at - 1:rate_at + 1] if rate_at <= n_max
+                                  else (ev.ratio_at(rate_at - 1), ev.ratio_at(rate_at)))
         if ratio_prev is None or ratio_here is None:
             raise DivautError(f"ratio undefined near probe point {rate_at}")
         print(f"rate\t{GAUSSIAN.format(ratio_here - ratio_prev)}")
@@ -502,7 +505,7 @@ def main(argv=None) -> int:
     except DivautError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # expressions are trees walked by recursion
+    except RecursionError:  # the parser and the compiler recurse once per level
         print("error: expression nested too deeply", file=sys.stderr)
         return 1
     finally:

@@ -69,12 +69,27 @@ _ARGS = {cls: tuple(cls._fields.items()) for cls in _HEAD_OF}
 
 class _Reader:
     """Recursive descent over ``tokenize(text)`` with one token of lookahead
-    (``tok``, None at the end of the input)."""
+    (``tok``, None at the end of the input).
+
+    Expressions are read into a shared DAG: ``intern`` keys every node read
+    in this parse by its class, its operands' identities in order, its
+    symbol and the (type, value) of each coefficient, and builds a node only
+    for a new key.  Operands are interned first, so by induction on depth
+    two nodes get one key exactly when they are structurally equal; the
+    table keeps every keyed node alive, so no id in a key is reused while
+    it lasts.  Sharing is safe: expression records are frozen, and the only
+    state ever attached to a node is the cache that ``series._post_order``
+    or ``series.expr_level`` sets on the root it was asked for, which
+    depends only on the subexpression under that root, never on where it
+    occurs.  Equality stays structural, and the walks that need occurrences
+    (``series.to_characteristic``, ``kleene.compile_conv``) still visit each
+    one, so a compiled automaton keeps fresh positions per occurrence."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.tok = next(self.tokens, None)
+        self.nodes = {}  # intern key -> the expression node read with it
 
     def error(self, message, tok=None):
         """A parse error at ``tok``, or at the end of the input."""
@@ -166,7 +181,7 @@ class _Reader:
             raise self.error(f"unknown expression head {head.text!r}", head)
         cls = _HEADS[head.text]
         if cls is Sum:
-            return Sum(tuple(self.items("(", ")", lambda: self.expr(sr, alphabet))))
+            return self.intern(cls, [tuple(self.items("(", ")", lambda: self.expr(sr, alphabet)))])
         self.next("(")
         args = []
         for _, kind in _ARGS[cls]:
@@ -178,7 +193,17 @@ class _Reader:
                 args.append(self.parsed(sr.parse, self.word("coefficient")))
             self.comma()
         self.next(")")
-        return cls(*args)
+        return self.intern(cls, args)
+
+    def intern(self, cls, args):
+        """``cls(*args)``, or the node read earlier with the same operands in
+        order, the same symbol and coefficients of the same type and value."""
+        key = (cls, *(id(arg) if kind == "Expr" else tuple(map(id, arg)) if kind == "tuple"
+                      else (type(arg), arg) if kind == "object" else arg
+                      for (_, kind), arg in zip(_ARGS[cls], args)))
+        if key not in self.nodes:
+            self.nodes[key] = cls(*args)
+        return self.nodes[key]
 
 
 # ---------------------------------------------------------------------------

@@ -577,10 +577,16 @@ def test_policy_with_a_bad_bound_names_the_policy(text):
     (lambda: ActivationPolicy("horizon", horizon=1), "horizon bound must be at least 2"),
     (lambda: ActivationPolicy("bogus"), "bad activation policy kind 'bogus'"),
     (lambda: ActivationPolicy("exact"), "bad activation policy kind 'exact'"),
-], ids=["horizon0", "horizon-3", "horizon1", "default-bound", "keyword-bound", "bogus", "exact"])
+    (lambda: horizon(2.5), "horizon bound must be an int, got 2.5"),
+    (lambda: horizon(8.0), "horizon bound must be an int, got 8.0"),
+    (lambda: horizon(True), "horizon bound must be an int, got True"),
+    (lambda: ActivationPolicy("horizon", "8"), "horizon bound must be an int, got '8'"),
+    (lambda: ActivationPolicy("auto", 0.0), "horizon bound must be an int, got 0.0"),
+], ids=["horizon0", "horizon-3", "horizon1", "default-bound", "keyword-bound", "bogus", "exact",
+        "float-bound", "integral-float-bound", "bool-bound", "str-bound", "auto-float-bound"])
 def test_a_bad_policy_is_refused_however_it_is_built(build, message):
     """parse, horizon() and direct construction share one check: the kind
-    is auto or horizon, and a horizon bound is at least 2."""
+    is auto or horizon, and a horizon bound is an int, at least 2."""
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message

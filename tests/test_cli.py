@@ -3,13 +3,14 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divaut import cli
 from divaut.automaton import Automaton, AutomatonClass, classify, converging_weight
-from divaut.activation import BidivergingBehavior, DivergingBehavior
+from divaut.activation import BidivergingBehavior, DivergingBehavior, _Window
 from divaut.cli import main
 from divaut.fileformat import (
     detect_kind,
@@ -473,6 +474,22 @@ def test_quantum_hs_rate(capsys):
     assert lines[0] == "0\t0\t1\t0"
     assert lines[2] == "2\t1\t1\t1"
     assert lines[-1].startswith("rate\t")
+
+
+def test_a_probe_inside_the_table_takes_its_ratios_from_the_rows(capsys):
+    """A --rate-at probe at most --n restarts no window that a probe past
+    the table does not, and prints the rate a probe past it reads."""
+    restarts, rates = {}, {}
+    for n, rate_at in (("128", "128"), ("128", "200"), ("4", "128")):
+        with mock.patch.object(_Window, "_restart", autospec=True,
+                               side_effect=_Window._restart) as restart:
+            code, out, _ = run(capsys, "quantum", "hs", "--terms", "1,1/2", "--n", n,
+                               "--rate-at", rate_at)
+        assert code == 0
+        restarts[n, rate_at] = restart.call_count
+        rates[n, rate_at] = out.splitlines()[-1]
+    assert restarts["128", "128"] == restarts["128", "200"]
+    assert rates["128", "128"] == rates["4", "128"]
 
 
 def test_quantum_hs_rate_at_must_be_positive(capsys):
