@@ -40,30 +40,26 @@ Zero tests never reduce.  The masked evaluator steps rows only until they
 are dependent (or repeat) at the cycle's phase points, then steps the
 monic integer recurrence of the value numerators, or jumps along it to a
 far length (x^m modulo its characteristic polynomial), and reduces only the
-values asked for.  A value and a text read share a window, but a natural
-text read steps the recurrence in decimal integers, which are written in
-time linear in their digits.  They hold the same values: the recurrence is
-monic, so no step divides, and every conversion and step runs in
+values asked for.  A text read over the naturals and the fields has a
+window of its own, which steps the recurrence in decimal integers, written
+in time linear in their digits, and reduces t/s by the scale's own factors
+(``semiring._ScaleFactors``).  They hold the same values: the recurrence
+is monic, so no step divides, and every conversion and step runs in
 :data:`_EXACT`, which holds any number of digits and traps any rounding.
 """
 from __future__ import annotations
 
-import decimal
 from math import gcd, prod
 from operator import mul
 
 from ._record import Record
 from .automaton import Automaton, _on_paths, _restrict, advance_row
 from .errors import UnsupportedExactDecision
-from .semiring import _INTEGERS, BOOLEAN, NATURAL, WeightSequence, BiWeightGrid
+from .semiring import (_EXACT, _INTEGERS, BOOLEAN, NATURAL, WeightSequence, BiWeightGrid,
+                       _coprime_base, _ScaleFactors)
 from .words import BiInfiniteWord, UPInfiniteWord, require_same_alphabet, words_equal
 
-# exact integer arithmetic on decimal digits: the operators of Decimal read
-# the thread's context (28 digits by default), so only these methods are used
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-                                decimal.DivisionByZero, decimal.Overflow])
-_ZERO = _EXACT.create_decimal(0)
+_ZERO, _fma = _EXACT.create_decimal(0), _EXACT.fma
 
 
 class ActivationPolicy(Record):
@@ -349,22 +345,27 @@ class _MaskedBehavior:
     chi_j = -c_k c_j integers.  Over the Booleans (and any other semiring)
     the first repeat x_k = x_j gives t(n) = t(n - (k - j) p).  Then the
     rows are dropped and the window steps the numerators of its last k p
-    (or (k - j) p) lengths, each kept with its own scale, or jumps along the
-    recurrence to a far length (:meth:`_Window._jump`).  A read is the
-    numerators and the scale of one length (:meth:`_read`), which
-    :meth:`_value` reduces and :meth:`_text` writes with ``Semiring._text``;
-    nothing is cached, and a length below what is kept starts the window
-    again.
+    (or (k - j) p) lengths, each kept with its own scale, less a factor
+    that the period's scale and the taps share (:meth:`_Window._settle`),
+    or jumps along the recurrence to a far length (:meth:`_Window._jump`).
+    A read is the numerators and the scale of one length (:meth:`_read`),
+    which :meth:`_value` reduces and :meth:`_text` writes with
+    ``Semiring._text``; nothing is cached, and a length below what is kept
+    starts the window again.
 
-    Windows are keyed by start and carrier: a value and a text read of one
-    start share a window, but over the naturals the text read has a decimal
-    one, which turns its kept numerators into decimal integers when it
-    switches to the recurrence and steps (or jumps) there: ``str`` of a
-    Python int is quadratic in its digits, of a decimal linear.  The values
-    stay the same integers.  The switch converts each kept integer exactly,
-    and each step or jump is integer multiply-adds, with no division; all of
-    it runs in :data:`_EXACT`, which holds any number of digits and traps
-    any rounding.
+    Windows are keyed by start and carrier: over the Booleans a value and a
+    text read of one start share a window, but over the naturals and the
+    fields the text read has a decimal one, which turns its kept numerators
+    and scales into decimal integers when it switches to the recurrence and
+    steps (or jumps) there: ``str`` of a Python int is quadratic in its
+    digits, of a decimal linear.  The values stay the same integers: each
+    conversion is exact, and each step or jump is integer multiply-adds,
+    with no division, all in :data:`_EXACT`, which holds any number of
+    digits and traps any rounding.  A field text is t/s in lowest
+    terms, and s is the start scale times letter scales, so
+    ``semiring._ScaleFactors`` finds gcd(t, s) from remainders of t and s
+    by powers of those factors and divides both by it, with no gcd on
+    full-size operands, also where the scale far outgrows the denominator.
     """
 
     def __init__(self, aut: Automaton, word, policy: ActivationPolicy):
@@ -380,6 +381,7 @@ class _MaskedBehavior:
         _, self._lift, self._scales, self._scale, self._starts, self._ends = _lift_between(
             aut, [{s: aut.initial[s] for s in starts} for starts in groups.values()],
             [{s: aut.final[s] for s in ends} for ends in groups])
+        self._factors = _ScaleFactors([self._scale, *self._scales.values()])
         self._windows = {}  # (window start, decimal carrier) -> _Window
 
     def _read(self, start: int, n: int, decimal: bool = False):
@@ -396,18 +398,24 @@ class _MaskedBehavior:
 
     def _text(self, start: int, n: int) -> str:
         """The value at (start, n), formatted."""
-        return self.automaton.semiring._text(*self._read(start, n, self._lift.semiring is NATURAL))
+        numerators, scale = self._read(start, n, self._lift.semiring is not BOOLEAN)
+        return self.automaton.semiring._text(numerators, scale, self._factors)
 
 
 class _Window:
     """The (numerators, scale) of each length from one window start (see
-    :class:`_MaskedBehavior`).  Once its rows are dropped, a read more than
-    max(kept lengths, p) ahead jumps by whole periods and steps the fewer
-    than p lengths left; reads in order only step."""
+    :class:`_MaskedBehavior`), as ints, which the decimal carrier turns into
+    decimal integers at the switch.  Before the switch the scale gains each
+    letter's; after it a length's scale is that of one period back times
+    the period's growth.
+    Once its rows are dropped, a read more than max(kept lengths, p) ahead
+    jumps by whole periods and steps the fewer than p lengths left; reads
+    in order only step."""
 
     def __init__(self, behavior: _MaskedBehavior, start: int, decimal: bool):
         self._behavior, self._start, self._decimal = behavior, start, decimal
-        self._combine = _decimal_combination if self._decimal else _integer_combination
+        self._combine = _decimal_combination if decimal else _integer_combination
+        self._times, self._power = (_EXACT.multiply, _EXACT.power) if decimal else (mul, pow)
         word = behavior.word  # from the start on: m letters, then a cycle of p
         bi = isinstance(word, BiInfiniteWord)
         self._cut = max(0, (word.origin + len(word.center) if bi else len(word.prefix)) - start)
@@ -434,17 +442,17 @@ class _Window:
         return self._kept[n - self._position - 1]
 
     def _step(self):
-        behavior = self._behavior
-        symbol = behavior.word.char_at(self._start + self._position)
         self._position += 1
-        self._scale *= behavior._scales[symbol]
         if self._rows is None:
             kept = self._kept
             kept.append((kept[0][0] if self._chi is None else  # a repeat keeps one lag
                          self._combine(self._taps, [t for t, _ in kept[::self._period]]),
-                         self._scale))
+                         self._times(kept[-self._back][1], self._growth)))
             del kept[0]
         else:
+            behavior = self._behavior
+            symbol = behavior.word.char_at(self._start + self._position - 1)
+            self._scale *= behavior._scales[symbol]
             self._rows = [advance_row(behavior._lift, row, symbol) for row in self._rows]
             self._record()
 
@@ -455,7 +463,7 @@ class _Window:
         s(i + k) = sum_j chi_j s(i + j), so s(periods + i) is the
         combination of them by the coefficients of x^(periods + i) modulo
         chi(x) = x^k - sum_j chi_j x^j.  Each scale gains the factor
-        sigma^periods, sigma the scale of one period."""
+        g^periods, g the growth of one period (:meth:`_settle`)."""
         kept, p = self._kept, self._period
         if self._chi is None:
             shift = periods * p % len(kept)
@@ -464,10 +472,9 @@ class _Window:
             powers = _powers(self._chi, periods, -(-len(kept) // p))
             numerators = [self._combine(powers[i // p], [t for t, _ in kept[i % p::p]])
                           for i in range(len(kept))]
-        factor = self._sigma ** periods
-        self._kept = [(t, scale * factor) for t, (_, scale) in zip(numerators, kept)]
+        factor = self._power(self._growth, periods)
+        self._kept = [(t, self._times(scale, factor)) for t, (_, scale) in zip(numerators, kept)]
         self._position += periods * p
-        self._scale *= factor
 
     def _record(self):
         """Keep the current numerators; at a phase point, seek the recurrence."""
@@ -486,14 +493,40 @@ class _Window:
             lag = (q - self._search.setdefault(tuple(rows), q)) * self._period
             found = lag and (lag, None)
         if found:
-            lag, self._chi = found
+            lag, chi = found
             del self._kept[:-max(lag, 1)]
-            self._taps = self._chi  # of a step
-            if self._decimal:
-                self._kept = [([_EXACT.create_decimal(t) for t in numerators], scale)
-                              for numerators, scale in self._kept]
-                self._taps = [_EXACT.create_decimal(c) for c in self._chi]
             self._rows = self._search = None
+            self._settle(chi)
+
+    def _settle(self, chi):
+        """Switch to stepping the kept lengths along the recurrence (or the
+        repeat), less the factor c of :func:`_shared_factor` that sigma and
+        the taps share.  A zero tap on the oldest kept period is dropped
+        with that period.  Each kept length gains c^a in its numerators and
+        its scale, a the periods to the last kept length of its phase; the
+        taps become chi_j / c^(k - j), and a period multiplies the scale by
+        sigma / c.  A length q periods past the last kept one of its phase
+        then holds t / c^q over s / c^q for its own (t, s): the term k - j
+        periods back gains the c^(k - j) that its tap gave up, and all stay
+        integers.  The values are the same, and where the scale outgrows
+        the values' denominators by c per period, as on some two-sided
+        words, numerators and scales stop carrying it.  The decimal carrier
+        then turns the kept lengths and the taps into decimal integers."""
+        kept, p = self._kept, self._period
+        while chi and not chi[0] and len(chi) > 1:  # the oldest kept period takes no part
+            del chi[0], kept[:p]
+        c = 1 if chi is None else _shared_factor(self._sigma, chi)
+        if c > 1:
+            chi = [x // c ** (len(chi) - j) for j, x in enumerate(chi)]
+            for i, (numerators, scale) in enumerate(kept):
+                factor = c ** ((len(kept) - 1 - i) // p)
+                kept[i] = [t * factor for t in numerators], scale * factor
+        self._chi, self._taps, self._growth = chi, chi, self._sigma // c  # taps: of a step
+        self._back = min(p, len(kept))  # one period back, or the zero rows' one length
+        if self._decimal:
+            number = _EXACT.create_decimal
+            kept[:] = [([number(t) for t in numerators], number(scale)) for numerators, scale in kept]
+            self._taps = [number(x) for x in chi]
 
     def _dependency(self):
         """(k p, chi) once x_k = sum_{j < k} chi_j x_j is found, else None.
@@ -528,20 +561,57 @@ class _Window:
         return None
 
 
+def _shared_factor(sigma: int, chi) -> int:
+    """A factor c of sigma with c^(k - j) dividing chi_j for every j, found
+    without factoring: sigma and the parts of the non-zero chi_j made of
+    its primes are products of powers of their coprime base, and c is the
+    product over it of b^e, e the largest exponent with b^e dividing sigma
+    and b^(e (k - j)) every non-zero chi_j.  (A composite b may leave a
+    factor of c out; any such c is exact.)"""
+    k, c = len(chi), 1
+    for b in _coprime_base([sigma, *(_smooth_part(abs(x), sigma) for x in chi if x)]):
+        exponent = _valuation(sigma, b, sigma.bit_length())
+        for j, x in enumerate(chi):
+            if x:
+                exponent = min(exponent, _valuation(x, b, exponent * (k - j)) // (k - j))
+        c *= b ** exponent
+    return c
+
+
+def _smooth_part(x: int, sigma: int) -> int:
+    """The largest divisor of x != 0 whose primes all divide sigma."""
+    part, g = 1, gcd(x, sigma)
+    while g > 1:
+        x, part = x // g, part * g
+        g = gcd(x, g)
+    return part
+
+
+def _valuation(x: int, b: int, cap: int) -> int:
+    """The largest e <= cap with b^e dividing x != 0."""
+    e = 0
+    while e < cap and not x % b:
+        x //= b
+        e += 1
+    return e
+
+
 def _integer_combination(coefficients, terms):
     """sum_j coefficients[j] terms[j], numerator by numerator."""
     return [sum(map(mul, coefficients, column)) for column in zip(*terms)]
 
 
 def _decimal_combination(coefficients, terms):
-    """The same on the one numerator of a natural value, held as a decimal
-    integer, in :data:`_EXACT`, which takes integer coefficients (a jump's)
-    exactly.  The sum starts at +0, so a zero is +0 and is written 0: -0 plus +0 is
-    +0."""
-    total = _ZERO
-    for c, (t,) in zip(coefficients, terms):
-        total = _EXACT.fma(c, t, total)
-    return [total]
+    """The same on numerators held as decimal integers, in :data:`_EXACT`,
+    which takes integer coefficients (a jump's) exactly.  Each sum starts at
+    +0, so a zero is +0: -0 plus +0 is +0."""
+    totals = []
+    for column in zip(*terms):
+        total = _ZERO
+        for c, t in zip(coefficients, column):
+            total = _fma(c, t, total)
+        totals.append(total)
+    return totals
 
 
 def _powers(chi, exponent: int, count: int) -> list:

@@ -17,11 +17,29 @@ Every concrete carrier is falsy exactly at its zero, so its zero test is
 """
 from __future__ import annotations
 
+import decimal
 import operator
+import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DivautParseError, SemiringMismatch
+
+# exact integer arithmetic on decimal digits: the operators of Decimal read
+# the thread's context (28 digits by default), so only these methods are used
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+                                decimal.DivisionByZero, decimal.Overflow])
+_remainder, _divide_int = _EXACT.remainder, _EXACT.divide_int
+
+# the literal forms of the README, in ASCII digits: a natural is digits, a
+# rational an optionally signed natural over an optional natural, and a
+# Gaussian rational a real part, a signed imaginary part with i, or both
+_RATIONAL_PART = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_NATURAL_LITERAL = re.compile(r"[0-9]+")
+_RATIONAL_LITERAL = re.compile(_RATIONAL_PART)
+_GAUSSIAN_LITERAL = re.compile(
+    rf"(?P<real>{_RATIONAL_PART})(?:(?P<imag>[+-][0-9]+(?:/[0-9]+)?)i)?|(?P<pure>{_RATIONAL_PART})i")
 
 
 class GaussianRational:
@@ -145,16 +163,112 @@ def _format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _fraction_text(t: int, s: int) -> str:
-    """t/s (s > 0) as :func:`_format_fraction` writes it in lowest terms.
-    The gcd is that of the odd parts, shifted left by the smaller 2-adic
-    valuation, which is cheap where the scale is mostly a power of 2."""
+def _fraction_text(t, s, factors) -> str:
+    """t/s as :func:`_format_fraction` writes it in lowest terms, for
+    integers t and s > 0 whose common factor ``factors`` finds
+    (:meth:`_ScaleFactors.common`): decimal integers, or ints while a text
+    window steps its rows.  Dividing a decimal by a small one and writing
+    it both take time linear in its digits."""
     if not t:
         return "0"
-    low_t, low_s = (t & -t).bit_length() - 1, (s & -s).bit_length() - 1
-    g = gcd(t >> low_t, s >> low_s) << min(low_t, low_s)
-    t, s = t // g, s // g
+    if (g := factors.common(t, s)) != 1:
+        t, s = (t // g, s // g) if t.__class__ is int else (_divide_int(t, g), _divide_int(s, g))
     return str(t) if s == 1 else f"{t}/{s}"
+
+
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers > 1 of which each of ``numbers`` (positive
+    integers) is a product of powers: a pair with a common factor g is
+    replaced by g and the two cofactors until none is left, which ends
+    because each replacement divides the product of all of them by g."""
+    base, pending = [], list(numbers)
+    while pending:
+        x = pending.pop()
+        if x == 1:
+            continue
+        for k, b in enumerate(base):
+            if (g := gcd(x, b)) > 1:
+                del base[k]
+                pending += [g, x // g, b // g]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+class _ScaleFactors:
+    """The common factor of a numerator and a scale that is a product of
+    known factors (a window's start scale and its letters' scales), found
+    without factoring a factor and without a gcd of full-size operands.
+
+    It keeps a coprime base B of the factors, each element b with a level
+    e_b, and m = prod_b b^(e_b).  For t != 0 and s a product of the factors,
+    h = gcd(t mod m, s mod m, m) = gcd(t, s, m), so a prime p of b has
+    v_p(h) = min(v_p(t), v_p(s), e_b v_p(b)).  Where that is below
+    v_p(m) = e_b v_p(b), it is min(v_p(t), v_p(s)) = v_p(gcd(t, s)).  Every
+    prime of s divides a factor, so divides some b; a prime of no factor
+    divides neither s nor gcd(t, s) nor m.  So if every prime of prod B
+    divides m / h, then h = gcd(t, s).  Otherwise the *open* primes (those
+    with v_p(h) = v_p(m)) make o, prod B cleared of every prime of m / h:
+    each b splits into gcd(o, b), whose level doubles, and b / gcd(o, b),
+    whose level stays, and the read tries again.  The pieces are coprime to
+    each other and to the rest, and the factors are still products of their
+    powers, so B stays a coprime base without any factoring.  An open prime
+    has p^(e_b v_p(b)) dividing t != 0, so the doubling ends.
+
+    Levels start as high as keeps m below 2^63 (at least 1): one word of
+    decimal digits, so that a remainder by m is one short division.  They
+    are kept from read to read, and a piece's level doubles only where its
+    power at that level divides gcd(t, s), so m stays below the starting
+    modulus times the square of the largest common factor read.  The gcd
+    operands are below m: of the size of the common factor, not of the
+    scale, however far the scale outgrows the reduced denominator.  A read
+    costs two remainders of a decimal by m, one when gcd(t mod m, m) = 1,
+    and the parts of a Q(i) value share the scale's."""
+
+    def __init__(self, factors):
+        base = _coprime_base(factors)
+        self._levels = dict.fromkeys(base, 1)
+        limit = 1 << (63 // max(len(base), 1))  # m below 10^19: one word of decimal digits
+        for b in base:
+            while b ** (self._levels[b] + 1) < limit:
+                self._levels[b] += 1
+        self._modulus()
+        self._s = self._s_rest = None
+
+    def _rest(self, x) -> int:
+        """x mod m, as an int."""
+        return x % self._m if x.__class__ is int else int(_remainder(x, self._m_decimal))
+
+    def _modulus(self):
+        self._m = prod(b ** e for b, e in self._levels.items())
+        self._m_decimal = _EXACT.create_decimal(self._m)
+        self._base = prod(self._levels)
+        self._low = 1 << min(self._levels.values(), default=0)  # below any p^(e_b v_p(b))
+
+    def common(self, t, s) -> int:
+        """gcd(t, s) for t != 0 and a product s of the factors, both ints or
+        both decimal integers, as an int."""
+        while True:
+            if (h := gcd(self._rest(t), self._m)) == 1:
+                return 1
+            if s is not self._s:  # the parts of a Q(i) value share their scale
+                self._s, self._s_rest = s, self._rest(s)
+            if (h := gcd(h, self._s_rest)) < self._low:
+                return h
+            rest, base = self._m // h, self._base
+            if not pow(rest, base.bit_length(), base):  # every prime of the base divides m / h
+                return h
+            while (g := gcd(base, rest)) > 1:  # the open part
+                base //= g
+            for b, level in list(self._levels.items()):
+                if (piece := gcd(base, b)) > 1:
+                    del self._levels[b]
+                    self._levels[piece] = 2 * level
+                    if piece < b:
+                        self._levels[b // piece] = level
+            self._modulus()
+            self._s = None
 
 
 def format_gaussian(value: GaussianRational) -> str:
@@ -222,8 +336,11 @@ class Semiring:
         over ``scale``: undoes the clearing."""
         return numerators[0]
 
-    def _text(self, numerators, scale) -> str:
-        """The formatted value with ``numerators`` over ``scale``."""
+    def _text(self, numerators, scale, factors) -> str:
+        """The formatted value with ``numerators`` over ``scale``.  Over the
+        naturals and the fields both are decimal integers, and ``scale`` is
+        a product of the factors that ``factors`` (a :class:`_ScaleFactors`)
+        was built from."""
         return self.format(self._reduce(numerators, scale))
 
     def check(self, value):
@@ -291,15 +408,15 @@ class NaturalSemiring(_Numeric):
         return value
 
     def parse(self, text):
-        if not text.isdigit():
+        if not _NATURAL_LITERAL.fullmatch(text):
             raise DivautParseError(f"bad natural literal {text!r}")
         return int(text)
 
     def format(self, value):
         return str(value)
 
-    def _text(self, numerators, scale):
-        return str(numerators[0])  # an int, or a text window's decimal integer
+    def _text(self, numerators, scale, factors):
+        return str(numerators[0])
 
 
 class _Integers(_Numeric):
@@ -329,8 +446,8 @@ class RationalSemiring(_Numeric):
     def _reduce(self, numerators, scale):
         return Fraction(numerators[0], scale)
 
-    def _text(self, numerators, scale):
-        return _fraction_text(numerators[0], scale)
+    def _text(self, numerators, scale, factors):
+        return _fraction_text(numerators[0], scale, factors)
 
     def check(self, value):
         if isinstance(value, bool):
@@ -343,9 +460,11 @@ class RationalSemiring(_Numeric):
 
     def parse(self, text):
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise DivautParseError(f"bad rational literal {text!r}") from None
+            if _RATIONAL_LITERAL.fullmatch(text):
+                return Fraction(text)
+        except ZeroDivisionError:
+            pass
+        raise DivautParseError(f"bad rational literal {text!r}")
 
     def format(self, value):
         return _format_fraction(value)
@@ -392,12 +511,13 @@ class GaussianRationalSemiring(_Numeric):
         real, imag = numerators
         return GaussianRational(Fraction(real, scale), Fraction(imag, scale))
 
-    def _text(self, numerators, scale):
+    def _text(self, numerators, scale, factors):
         real, imag = numerators
+        text = _fraction_text(real, scale, factors)
         if not imag:
-            return _fraction_text(real, scale)
-        sign = "+" if imag > 0 else "-"
-        return f"{_fraction_text(real, scale)}{sign}{_fraction_text(abs(imag), scale)}i"
+            return text
+        imag = _fraction_text(imag, scale, factors)
+        return f"{text}{imag}i" if imag[0] == "-" else f"{text}+{imag}i"
 
     def check(self, value):
         if isinstance(value, GaussianRational):
@@ -409,25 +529,13 @@ class GaussianRationalSemiring(_Numeric):
         raise TypeError(f"gaussian semiring needs GaussianRational, got {value!r}")
 
     def parse(self, text):
-        body = text
-        if body.endswith("i"):
-            body = body[:-1]
-            split = -1
-            for k in range(1, len(body)):
-                if body[k] in "+-":
-                    split = k
-            if split == -1:
-                real_text, imag_text = "0", body
-            else:
-                real_text, imag_text = body[:split], body[split:]
-            try:
-                return GaussianRational(Fraction(real_text), Fraction(imag_text))
-            except (ValueError, ZeroDivisionError):
-                raise DivautParseError(f"bad gaussian literal {text!r}") from None
         try:
-            return GaussianRational(Fraction(body), Fraction(0))
-        except (ValueError, ZeroDivisionError):
-            raise DivautParseError(f"bad gaussian literal {text!r}") from None
+            if match := _GAUSSIAN_LITERAL.fullmatch(text):
+                real, imag, pure = match.group("real", "imag", "pure")
+                return GaussianRational(Fraction(real or 0), Fraction(imag or pure or 0))
+        except ZeroDivisionError:
+            pass
+        raise DivautParseError(f"bad gaussian literal {text!r}")
 
     def format(self, value):
         return format_gaussian(value)

@@ -145,6 +145,20 @@ def random_gaussian_automaton(rng, max_states=4, alphabet=AB, density=0.4):
     return _random_automaton(rng, GAUSSIAN, weight, weight, max_states, alphabet, density)
 
 
+def random_field_automaton(rng, sr, denominators, max_states=4, alphabet=AB, density=0.6):
+    """A RATIONAL or GAUSSIAN automaton whose weights have numerators in
+    [-3, 3] over ``denominators``; over Q(i) real, pure imaginary and mixed
+    alike."""
+    def part():
+        return Fraction(rng.randint(-3, 3), rng.choice(denominators))
+
+    def weight():
+        if sr is RATIONAL:
+            return part()
+        return gaussian(*rng.choice([(part(), part()), (0, part()), (part(), 0)]))
+    return _random_automaton(rng, sr, weight, weight, max_states, alphabet, density)
+
+
 def random_natural_automaton(rng, max_states=4, alphabet=AB, density=0.4):
     return _random_automaton(rng, NATURAL, lambda: rng.randint(1, 3),
                              lambda: rng.randint(1, 2), max_states, alphabet, density)

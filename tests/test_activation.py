@@ -1,4 +1,6 @@
+import contextlib
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -25,8 +27,9 @@ from divaut.activation import (
 from divaut.automaton import Automaton, converging_weight
 from divaut.errors import UnsupportedExactDecision
 from divaut.fileformat import parse_automaton
+from divaut import semiring
 from divaut.semiring import BOOLEAN, GAUSSIAN, NATURAL, RATIONAL, Semiring, gaussian
-from divaut.words import Alphabet, BiInfiniteWord, UPInfiniteWord, slice_word
+from divaut.words import Alphabet, BiInfiniteWord, UPInfiniteWord, parse_word, slice_word
 
 from conftest import (
     AB,
@@ -39,6 +42,7 @@ from conftest import (
     random_natural_automaton,
     random_rational_automaton,
     random_bi_word,
+    random_field_automaton,
     random_up_word,
     up_word,
     with_dead_ends,
@@ -764,10 +768,10 @@ def test_tables_read_from_the_recurrence_match_dense_walks(make):
                         random_gaussian_automaton, random_boolean_automaton]),
        st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
 def test_text_read_is_the_formatted_value(make, seed, padded, two_sided):
-    """The text read has windows of its own, which over the naturals step
-    the recurrence in decimal integers once found.  Read past the switch, in
-    order and then shuffled with repeats (restarts), it is the formatted
-    value."""
+    """The text read has windows of its own, which over the naturals and
+    the fields step the recurrence in decimal integers once found.  Read
+    past the switch, in order and then shuffled with repeats (restarts), it
+    is the formatted value."""
     rng = random.Random(seed)
     aut = make(rng, max_states=4, density=0.6)
     if padded:
@@ -786,9 +790,9 @@ def test_text_read_is_the_formatted_value(make, seed, padded, two_sided):
         count = switch + 2 * (switch - m) + 3 * p + 1
         expected = [sr.format(at(start, n)) for n in range(count)]
         assert [behavior._text(start, n) for n in range(count)] == expected
-        window = behavior._windows[start, sr is NATURAL]
+        window = behavior._windows[start, sr is not BOOLEAN]
         assert window._rows is None
-        assert isinstance(window._kept[-1][0][0], Decimal) == (sr is NATURAL)
+        assert isinstance(window._kept[-1][0][0], Decimal) == (sr is not BOOLEAN)
         shuffled = rng.sample(range(count), min(count, 30)) * 2
         rng.shuffle(shuffled)
         again, _ = masked_at(aut, word)
@@ -837,8 +841,8 @@ def test_value_and_text_reads_share_one_window_per_start(make, seed, padded, two
     """One behavior answers value and text reads interleaved: in order,
     shuffled with repeats, below the kept span (a restart) and far ahead
     (a jump).  Each value is the dense walk's and each text is its format.
-    Both reads step one window per start, except over the naturals, where
-    the text read keeps a second on the decimal carrier."""
+    Both reads step one window per start, except over the naturals and the
+    fields, where the text read keeps a second on the decimal carrier."""
     rng = random.Random(seed)
     aut = make(rng, max_states=4, density=0.6)
     if padded:
@@ -858,8 +862,96 @@ def test_value_and_text_reads_share_one_window_per_start(make, seed, padded, two
                      lambda: behavior._text(start, n) == sr.format(table[n])]
             rng.shuffle(reads)
             assert all(read() for read in reads), (start, n)
-    carriers = {False, sr is NATURAL}
+    carriers = {False, sr is not BOOLEAN}
     assert sorted(behavior._windows) == sorted((start, c) for start in starts for c in carriers)
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lets ``str`` write ints of any length, as the command line does."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+PRIME = 2 ** 61 - 1  # a Mersenne prime: a scale no trial division factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([RATIONAL, GAUSSIAN]),
+       st.sampled_from([(PRIME,), (2, 3, 4), (1, 3, PRIME), (6, 12), (4, 9)]),
+       st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+def test_field_texts_are_the_formatted_values(sr, denominators, seed, padded, two_sided):
+    """A field text read steps decimal numerators and scales and reduces
+    them by the scale's own factors; read in order, shuffled with repeats
+    and at far lengths (a jump), it is the formatted value of the value
+    read.  Scales of a prime 2^61 - 1, of mixed powers of 2 and 3, and of
+    composite factors; zero, negative and pure imaginary parts."""
+    rng = random.Random(seed)
+    aut = random_field_automaton(rng, sr, denominators)
+    if padded:
+        aut = with_dead_ends(aut)
+    word = random_bi_word(rng) if two_sided else random_up_word(rng)
+    count = 90
+    with unlimited_int_digits():
+        for start in ((-2, 1) if two_sided else (0,)):
+            _, at = masked_at(aut, word)
+            far = rng.sample(range(300, 700), 4)
+            expected = {n: sr.format(at(start, n)) for n in [*range(count), *far]}
+            ordered, _ = masked_at(aut, word)
+            assert [ordered._text(start, n) for n in range(count)] == \
+                [expected[n] for n in range(count)]
+            shuffled = rng.sample(range(count), 30) * 2 + far
+            rng.shuffle(shuffled)
+            again, _ = masked_at(aut, word)
+            assert [again._text(start, n) for n in shuffled] == [expected[n] for n in shuffled]
+
+
+@pytest.mark.parametrize("word,start", [("( a b )^~w . a . ( b a )^w", -1),
+                                        ("( a b )^~w . ( a b )^w", 3), ("b . ( a b )^w", 0)])
+def test_texts_where_the_scale_far_outgrows_the_reduced_denominator(word, start):
+    """On the cancelling fixture the window's scale of length n carries
+    powers of 2 and 3 that the value's denominator lacks, a factor of over
+    2^64 by n = 399, which the text reduction finds: the text equals the
+    formatted value, read in order, shuffled, and far ahead."""
+    aut = parse_automaton((FIXTURES / "cancelling.aut").read_text())
+    behavior, at = masked_at(aut, parse_word(word, AB))
+    values = [at(start, n) for n in range(400)]
+    texts, _ = masked_at(aut, parse_word(word, AB))
+    assert [texts._text(start, n) for n in range(400)] == [RATIONAL.format(v) for v in values]
+    (t,), scale = texts._windows[start, True].at(399)
+    assert int(scale) > 2 ** 64 * values[399].denominator  # g = scale / denominator
+    reads = random.Random(start).sample(range(400), 60) + [399, 0, 398]
+    again, _ = masked_at(aut, parse_word(word, AB))
+    assert [again._text(start, n) for n in reads] == [RATIONAL.format(values[n]) for n in reads]
+    far = behavior.at(3001) if start == 0 else behavior.at(start, 3001)
+    assert again._text(start, 3001) == RATIONAL.format(far)
+
+
+def test_a_field_table_runs_gcd_only_on_operands_of_the_common_factor_size():
+    """Reducing a 1,000-row Q table whose scales reach thousands of bits,
+    with common factors of a few bits, runs gcd on operands of under 256
+    bits: remainders of the decimal numerator by powers of the scale's
+    factors, never the full numerator and scale."""
+    rng = random.Random(38)  # six states
+    aut = random_field_automaton(rng, RATIONAL, (1, 2, 3, 4), max_states=6, density=0.8)
+    behavior = DivergingBehavior(aut, parse_word("a b . ( a b b )^w", AB))
+    widest, real_gcd = [0], semiring.gcd
+
+    def gcd(*operands):
+        widest[0] = max(widest[0], *(abs(x).bit_length() for x in operands))
+        return real_gcd(*operands)
+    with mock.patch.object(semiring, "gcd", gcd):
+        table = [behavior._text(0, n) for n in range(1001)]
+    assert widest[0] < 256
+    with unlimited_int_digits():
+        assert table[-1] == RATIONAL.format(behavior.at(1000))
+    assert int(behavior._windows[0, True].at(1000)[1]) > 2 ** 3000
 
 
 def test_a_long_read_keeps_no_value_alive():

@@ -207,6 +207,26 @@ def test_eval_unknown_semiring_value(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("semiring,weight", [
+    ("rational", "1e30"), ("rational", "1_000"), ("gaussian", "0.5+1i"),
+    ("natural", "\u00b2"), ("natural", "\u0663"),
+])
+def test_an_undocumented_literal_is_refused_at_its_token(tmp_path, capsys, semiring, weight):
+    """A weight outside the README's literal forms exits 2 with a bad
+    literal line at its token, whatever Python's own parsers would take."""
+    f = tmp_path / "two.aut"
+    f.write_text(f"semiring: {semiring}\nalphabet: [a]\nstates: [s, t]\n"
+                 "initial: {s: 1}\nfinal: {t: 1}\n"
+                 f"transitions: [{{from: s, to: t, symbol: a, weight: {weight}}}]\n")
+    assert run(capsys, "eval", str(f), "--word", "( a )^w", "--n-max", "2") == \
+        (2, "", f"parse error: line 6, column 51: bad {semiring} literal {weight!r}\n")
+
+
+def test_an_undocumented_hs_term_is_refused(capsys):
+    assert run(capsys, "quantum", "hs", "--terms", "1e3,1/2", "--n", "2") == \
+        (2, "", "parse error: bad gaussian literal '1e3'\n")
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

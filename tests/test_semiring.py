@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,9 @@ from divaut.semiring import (
     SEMIRINGS,
     GaussianRational,
     WeightSequence,
+    _EXACT,
+    _ScaleFactors,
+    _coprime_base,
     gaussian,
     semiring_by_name,
     seq_add,
@@ -90,6 +93,65 @@ def test_literal_rejects_garbage():
         RATIONAL.parse("1/0")
     with pytest.raises(DivautParseError):
         GAUSSIAN.parse("i+i")
+
+
+@pytest.mark.parametrize("sr,text", [
+    (NATURAL, "\u00b2"), (NATURAL, "\u0663"), (NATURAL, "1_000"), (NATURAL, "1e3"),
+    (NATURAL, " 7"), (NATURAL, "+7"),
+    (RATIONAL, "1e1000000"), (RATIONAL, "1E-2"), (RATIONAL, "0.5"), (RATIONAL, ".5"),
+    (RATIONAL, "5."), (RATIONAL, "1_000"), (RATIONAL, " 1/2"), (RATIONAL, "1/2\n"),
+    (RATIONAL, "1 / 2"), (RATIONAL, "\u0663/4"), (RATIONAL, "1/-2"), (RATIONAL, "3/0"),
+    (GAUSSIAN, "1e3"), (GAUSSIAN, "1e3+2i"), (GAUSSIAN, "1+2e3i"), (GAUSSIAN, "0.5i"),
+    (GAUSSIAN, "1_0+1i"), (GAUSSIAN, " 1+2i"), (GAUSSIAN, "1 + 2i"), (GAUSSIAN, "\u0663i"),
+    (GAUSSIAN, "1+\u0663i"), (GAUSSIAN, "1/0i"), (GAUSSIAN, "i"), (GAUSSIAN, "1+i"),
+])
+def test_literals_take_only_the_documented_forms(sr, text):
+    """A literal is ASCII digits with an optional sign and one optional
+    slash (and per part, for a Gaussian rational): exponents, decimal
+    points, underscores, padding and other digits are refused."""
+    with pytest.raises(DivautParseError, match=f"bad {sr.name} literal"):
+        sr.parse(text)
+
+
+@pytest.mark.parametrize("sr,text,value", [
+    (NATURAL, "007", 7), (RATIONAL, "+3/6", Fraction(1, 2)), (RATIONAL, "-0", Fraction(0)),
+    (GAUSSIAN, "0+1/2i", gaussian(0, Fraction(1, 2))), (GAUSSIAN, "-2i", gaussian(0, -2)),
+    (GAUSSIAN, "+1-1/3i", gaussian(1, Fraction(-1, 3))),
+])
+def test_documented_literals_read_their_value(sr, text, value):
+    assert sr.eq(sr.parse(text), value)
+
+
+PRIME = 2 ** 61 - 1  # a Mersenne prime: no trial division finds it
+
+
+def test_a_coprime_base_generates_every_factor():
+    for numbers in ([12], [12, 18], [4, 6, 9], [PRIME, 6 * PRIME, 4], [1, 1], [36, 6]):
+        base = _coprime_base(numbers)
+        assert all(b > 1 for b in base)
+        assert all(gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1:])
+        for x in numbers:
+            for b in base:
+                while x % b == 0:
+                    x //= b
+            assert x == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([2, 3, 4, 6, 9, 12, 36, PRIME, 6 * PRIME]), min_size=1, max_size=3),
+       st.data())
+def test_the_common_factor_is_the_gcd(factors, data):
+    """gcd(t, s) for a scale s that is a product of the factors and a
+    numerator t that shares a random part of it, read after read on one
+    reducer: its levels carry over, grow and split composite factors."""
+    reducer = _ScaleFactors([1, *factors])
+    for _ in range(5):
+        counts = [data.draw(st.integers(0, 80)) for _ in factors]
+        shared = [data.draw(st.integers(0, c)) for c in counts]
+        s = prod(f ** c for f, c in zip(factors, counts))
+        rest = data.draw(st.integers(-2 ** 300, 2 ** 300).filter(bool))
+        t = rest * prod(f ** c for f, c in zip(factors, shared))
+        assert reducer.common(_EXACT.create_decimal(t), _EXACT.create_decimal(s)) == gcd(t, s)
 
 
 def test_semiring_registry():
